@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
 # check.sh — protocol lint, then build + run the fast test label under
-# three toolchains (plain, AddressSanitizer+UBSan, ThreadSanitizer), then
-# a perf-smoke regression gate (scripts/perf_gate.py vs the committed
-# baseline). Each configuration gets its own build tree so they never
-# fight over the CMake cache.
+# four configurations (plain, AddressSanitizer+UBSan, ThreadSanitizer,
+# Release), then a perf-smoke regression gate (scripts/perf_gate.py vs the
+# committed baseline). Each configuration gets its own build tree so they
+# never fight over the CMake cache.
 #
-#   scripts/check.sh            # all stages (lint, plain, asan, tsan, perf)
-#   scripts/check.sh lint       # just one stage (lint|plain|asan|tsan|perf)
+#   scripts/check.sh        # all stages (lint plain asan tsan release perf)
+#   scripts/check.sh lint   # just one stage (lint|plain|asan|tsan|release|perf)
+#
+# The release stage (-DCMAKE_BUILD_TYPE=Release) exists because -O3 changes
+# the race windows the default build's tests see. It runs the fast and
+# bounded labels. The fault label is left out on purpose:
+# LockFreedom.CtrieSurvivesForeverStalls crashes in a Release build (a
+# null dereference after a winning remove CAS in ctrie's iremove, an open
+# bug listed in ROADMAP.md) and joins this stage once that is fixed. net
+# and trace stay with plain and tsan, as below.
 #
 # The fault label (fault-injection + stall-tolerant reclamation + progress
 # watchdog, see tests/*fault*, tests/watchdog_progress_test.cpp) runs in the
@@ -50,7 +58,7 @@ run_stage() {
     env_prefix=(env TSAN_OPTIONS="suppressions=$repo/scripts/tsan.supp history_size=7")
   fi
   "${env_prefix[@]}" ctest --test-dir "$dir" -L fast --output-on-failure -j "$jobs"
-  if [ "$stage" = plain ] || [ "$stage" = tsan ]; then
+  if [ "$stage" = plain ] || [ "$stage" = tsan ] || [ "$stage" = release ]; then
     echo "=== [$stage] ctest -L bounded ==="
     # Bounded-memory mode lin-check battery. The plain stage runs the full
     # 8-seed x 1250-history sweep; tsan gets a shorter sweep per seed (the
@@ -62,6 +70,8 @@ run_stage() {
     fi
     "${env_prefix[@]}" "${bounded_env[@]}" \
       ctest --test-dir "$dir" -L bounded --output-on-failure -j 1
+  fi
+  if [ "$stage" = plain ] || [ "$stage" = tsan ]; then
     echo "=== [$stage] ctest -L fault ==="
     # Liveness windows: the watchdog asserts per-tick progress, so never
     # run fault tests in parallel with each other on a loaded box.
@@ -139,7 +149,7 @@ run_perf() {
   # invariants themselves (shard death, protocol errors, a write-buffer
   # escape); the gate watches the open-loop tail cells for drift. Wider
   # tolerance than the in-process gates — these tails cross the kernel
-  # socket path and a 1-core scheduler.
+  # socket path and a scheduler shared with the load generator.
   echo "=== [perf] run fig15_served_load ==="
   (cd "$dir" && ./bench/fig15_served_load)
   echo "=== [perf] gate fig15 vs committed baseline ==="
@@ -167,16 +177,18 @@ case "$want" in
   plain) run_stage plain ;;
   asan) run_stage asan -DCACHETRIE_SANITIZE=ON ;;
   tsan) run_stage tsan -DCACHETRIE_TSAN=ON ;;
+  release) run_stage release -DCMAKE_BUILD_TYPE=Release ;;
   perf) run_perf ;;
   all)
     run_lint
     run_stage plain
     run_stage asan -DCACHETRIE_SANITIZE=ON
     run_stage tsan -DCACHETRIE_TSAN=ON
+    run_stage release -DCMAKE_BUILD_TYPE=Release
     run_perf
     ;;
   *)
-    echo "usage: $0 [lint|plain|asan|tsan|perf|all]" >&2
+    echo "usage: $0 [lint|plain|asan|tsan|release|perf|all]" >&2
     exit 2
     ;;
 esac

@@ -13,8 +13,8 @@
 //                           + hazard-style fallback sweep; see epoch.hpp and
 //                           DESIGN.md "Reclamation under faults").
 //   * mr::HazardReclaimer — hazard pointers (Michael 2004); per-pointer
-//                           protection, used by the chashmap bucket lists and
-//                           available for ablation.
+//                           protection. No structure in this repo uses it;
+//                           only tests/hazard_test.cpp exercises it.
 //   * mr::LeakReclaimer   — never frees; isolates reclamation overhead in
 //                           the ablation benches and simplifies some tests.
 //

@@ -6,10 +6,10 @@
 // are monotone and histogram buckets are monotone per bucket, the delta of
 // two snapshots is itself a well-formed snapshot of exactly the interval
 // between them: counter deltas divide into rates, and bucket-wise
-// subtraction yields the *interval histogram*, whose quantiles describe
-// only the requests that landed since the previous pull — the cumulative
-// quantile's long memory is gone. That subtraction is the whole trick; the
-// rest is bookkeeping (DESIGN.md §2d).
+// subtraction (LatencyHistogram::since) yields the *interval histogram*,
+// whose quantiles describe only the requests that landed since the
+// previous pull — the cumulative quantile's long memory is gone. That
+// subtraction is the whole trick; the rest is bookkeeping (DESIGN.md §2d).
 //
 // IntervalDiffer is the stateful pull endpoint: each advance() diffs the
 // registry's current state against the previous advance() and remembers
@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 
 namespace cachetrie::obs {
@@ -151,25 +152,15 @@ class IntervalDiffer {
 
     for (const auto& h : cur.histograms) {
       const Snapshot::Histogram* before = prev_.find_histogram(h.name);
-      Snapshot::Histogram interval = h;  // interval = cur - prev, bucket-wise
-      double prev_p50 = 0.0;
-      double prev_p99 = 0.0;
-      if (before != nullptr && h.count >= before->count) {
-        for (std::size_t b = 0; b < kHistBuckets; ++b) {
-          // Per-bucket clamp: concurrent recording means bucket deltas can
-          // individually dip negative even when the totals are monotone.
-          interval.buckets[b] =
-              h.buckets[b] >= before->buckets[b]
-                  ? h.buckets[b] - before->buckets[b]
-                  : 0;
-        }
-        interval.count = h.count - before->count;
-        interval.sum = h.sum >= before->sum ? h.sum - before->sum : 0;
-        prev_p50 = before->quantile(0.50);
-        prev_p99 = before->quantile(0.99);
-      }
-      if (interval.count == 0) continue;
-      d.histograms.push_back({h.name, interval.count, interval.quantile(0.50),
+      // Rewind: diff against zero, as for counters.
+      if (before != nullptr && h.count() < before->count()) before = nullptr;
+      const LatencyHistogram interval =
+          before != nullptr ? h.since(*before) : LatencyHistogram{h};
+      if (interval.count() == 0) continue;
+      const double prev_p50 = before != nullptr ? before->quantile(0.50) : 0.0;
+      const double prev_p99 = before != nullptr ? before->quantile(0.99) : 0.0;
+      d.histograms.push_back({h.name, interval.count(),
+                              interval.quantile(0.50),
                               interval.quantile(0.99),
                               h.quantile(0.50) - prev_p50,
                               h.quantile(0.99) - prev_p99});

@@ -108,9 +108,9 @@ inline Histogram net_queue_delay_us{"net.queue_delay_us"};
 // --- net: request-phase attribution (DESIGN.md §4). The three phases
 // partition a served request's shard-side lifetime exactly: queue
 // (admission -> dequeue), execute (map operation), flush (reply bytes
-// accepted by the kernel). Coarse log2 buckets — the fine-grained
-// per-shard view is the obs::LatencyHistogram set in net/shard.hpp; these
-// exist so a kStats poll (and any snapshot) can see the decomposition. ----
+// accepted by the kernel). The per-shard view is the obs::LatencyHistogram
+// set in net/shard.hpp; these registry copies exist so a kStats poll (and
+// any snapshot) can see the decomposition. -------------------------------
 inline Histogram net_phase_queue_us{"net.phase.queue_us"};
 inline Histogram net_phase_execute_us{"net.phase.execute_us"};
 inline Histogram net_phase_flush_us{"net.phase.flush_us"};

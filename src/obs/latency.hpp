@@ -1,18 +1,15 @@
-// latency.hpp — per-operation latency histogram for tail percentiles.
+// latency.hpp — the one histogram value type of obs/.
 //
-// The obs::Histogram of metrics.hpp is built for concurrent recording of
-// small discrete values (depths, level counts): exact below 16, then one
-// bucket per power of two — a p99 at 2^17 ns could be anywhere in a 2x
-// range. Tail latencies need finer resolution but not concurrency (the
-// harness records from the measuring thread): this histogram is the
-// classic HdrHistogram-lite layout — exact unit buckets below 32, then 16
-// linear sub-buckets per power of two, bounding relative error by 1/16
-// (~6%) at every magnitude up to 2^64. Quantiles interpolate linearly
-// within the landing bucket, the same fix metrics.hpp's
-// Snapshot::Histogram::quantile applies to its coarser geometry.
+// Exact unit buckets below 32, then 16 linear sub-buckets per power of two
+// (the classic HdrHistogram-lite layout): relative error at most 1/16
+// (~6%) at every magnitude up to 2^64, and small discrete values (trie
+// depths, level counts) stay exact. Quantiles interpolate linearly within
+// the landing bucket.
 //
 // Plain (non-atomic) counters: one recorder per instance; merge() combines
-// per-pass or per-thread instances losslessly (bucket-wise addition).
+// per-pass or per-thread instances losslessly (bucket-wise addition). The
+// registry's concurrent obs::Histogram (metrics.hpp) records into the same
+// buckets and snapshots into this type.
 #pragma once
 
 #include <array>
@@ -56,7 +53,21 @@ class LatencyHistogram {
     if (v > max_) max_ = v;
   }
 
+  /// Folds in n values known only by their bucket — how the registry
+  /// merges a striped obs::Histogram into a snapshot. max_value() rises to
+  /// bucket b's top value; the values' total goes in through add_sum().
+  void add_bucket(std::size_t b, std::uint64_t n) noexcept {
+    if (n == 0) return;
+    buckets_[b] += n;
+    count_ += n;
+    const std::uint64_t top = lower_of(b) + (width_of(b) - 1);
+    if (top > max_) max_ = top;
+  }
+  void add_sum(std::uint64_t v) noexcept { sum_ += v; }
+
+  std::uint64_t bucket(std::size_t b) const noexcept { return buckets_[b]; }
   std::uint64_t count() const noexcept { return count_; }
+  std::uint64_t sum() const noexcept { return sum_; }
   std::uint64_t max_value() const noexcept { return max_; }
 
   double mean() const noexcept {
@@ -89,8 +100,34 @@ class LatencyHistogram {
     return static_cast<double>(max_);
   }
 
+  /// Fraction of recorded values <= v: exact for v < 32, else counting all
+  /// of v's bucket.
+  double fraction_at_most(std::uint64_t v) const noexcept {
+    if (count_ == 0) return 0.0;
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b <= index_of(v); ++b) cum += buckets_[b];
+    return static_cast<double>(cum) / static_cast<double>(count_);
+  }
+
+  /// What was recorded after `before`, an earlier copy of this histogram:
+  /// bucket-wise subtraction, each bucket clamped at zero so a source
+  /// reset in between never underflows.
+  /// count() is the sum of the differences; max_value() stays this one's.
+  LatencyHistogram since(const LatencyHistogram& before) const noexcept {
+    LatencyHistogram d;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      if (buckets_[b] > before.buckets_[b]) {
+        d.buckets_[b] = buckets_[b] - before.buckets_[b];
+        d.count_ += d.buckets_[b];
+      }
+    }
+    d.sum_ = sum_ > before.sum_ ? sum_ - before.sum_ : 0;
+    d.max_ = max_;
+    return d;
+  }
+
   /// Bucket-wise addition (per-pass / per-thread instances combine
-  /// losslessly, like Snapshot::Histogram::merge).
+  /// losslessly).
   void merge(const LatencyHistogram& other) noexcept {
     for (std::size_t b = 0; b < kBuckets; ++b) {
       buckets_[b] += other.buckets_[b];

@@ -13,11 +13,11 @@
 //                 exact after quiescence and monotone at all times (each
 //                 stripe is monotone, and repeated relaxed loads of one
 //                 atomic respect its modification order).
-//   * Histogram — mergeable bucketed distribution: exact unit buckets for
-//                 values < 16 (depths, level counts) and log2 buckets
-//                 above (latencies, byte sizes). Striped like Counter;
-//                 merging is bucket-wise addition, so per-stripe, per-run
-//                 and per-machine histograms all combine losslessly.
+//   * Histogram — bucketed distribution in the LatencyHistogram geometry
+//                 (latency.hpp): exact below 32 (depths, level counts),
+//                 then 16 sub-buckets per power of two (latencies, byte
+//                 sizes). Striped like Counter; a snapshot merges the
+//                 stripes into one LatencyHistogram.
 //   * Gauge     — a settable level, plus registered *callback* gauges that
 //                 sample an external source at snapshot time (used to fold
 //                 the mr/ epoch-limbo and stall counters into snapshots
@@ -54,37 +54,10 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/latency.hpp"
 #include "util/padded.hpp"
 
 namespace cachetrie::obs {
-
-// --- bucket geometry (unconditional: unit below 16, log2 above) -----------
-
-/// Unit buckets 0..15 hold exact small values (trie depths, dereference
-/// counts); bucket 16 + k holds [2^(4+k), 2^(5+k)). The last bucket tops
-/// out at 2^64 - 1.
-inline constexpr std::size_t kHistBuckets = 76;
-
-constexpr std::size_t bucket_index(std::uint64_t v) noexcept {
-  return v < 16 ? static_cast<std::size_t>(v)
-                : 11 + static_cast<std::size_t>(std::bit_width(v));
-}
-
-constexpr std::uint64_t bucket_lower_bound(std::size_t b) noexcept {
-  return b < 16 ? b : (std::uint64_t{1} << (b - 12));
-}
-
-constexpr std::uint64_t bucket_upper_bound(std::size_t b) noexcept {
-  if (b < 16) return b;
-  if (b >= kHistBuckets - 1) return ~std::uint64_t{0};
-  return (std::uint64_t{1} << (b - 11)) - 1;
-}
-
-static_assert(bucket_index(0) == 0 && bucket_index(15) == 15);
-static_assert(bucket_index(16) == 16 && bucket_index(31) == 16);
-static_assert(bucket_index(32) == 17);
-static_assert(bucket_index(~std::uint64_t{0}) == kHistBuckets - 1);
-static_assert(bucket_lower_bound(16) == 16 && bucket_upper_bound(16) == 31);
 
 // --- snapshot (unconditional plain data) -----------------------------------
 
@@ -99,79 +72,9 @@ struct Snapshot {
     std::string name;
     std::int64_t value = 0;
   };
-  struct Histogram {
+  /// A registry histogram's merged stripes, under the metric's name.
+  struct Histogram : LatencyHistogram {
     std::string name;
-    std::array<std::uint64_t, kHistBuckets> buckets{};
-    std::uint64_t count = 0;  // == sum of buckets
-    std::uint64_t sum = 0;
-
-    double mean() const noexcept {
-      return count == 0 ? 0.0
-                        : static_cast<double>(sum) / static_cast<double>(count);
-    }
-
-    /// Upper bound of the bucket containing the p-quantile (p in [0,1]).
-    std::uint64_t quantile_upper_bound(double p) const noexcept {
-      if (count == 0) return 0;
-      const double target = p * static_cast<double>(count);
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        cum += buckets[b];
-        if (static_cast<double>(cum) >= target && cum > 0) {
-          return bucket_upper_bound(b);
-        }
-      }
-      return bucket_upper_bound(kHistBuckets - 1);
-    }
-
-    /// p-quantile with linear interpolation inside the landing bucket.
-    /// quantile_upper_bound is exact for the unit range but a log2 bucket
-    /// spans a 2x range — at high buckets the upper bound alone overstates
-    /// a mid-bucket quantile by up to 2x. Assuming in-bucket uniformity
-    /// and interpolating bounds the error by the in-bucket mass instead.
-    /// Unit buckets still return their exact value.
-    double quantile(double p) const noexcept {
-      if (count == 0) return 0.0;
-      double target = p * static_cast<double>(count);
-      if (target > static_cast<double>(count)) {
-        target = static_cast<double>(count);
-      }
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        if (buckets[b] == 0) continue;
-        if (static_cast<double>(cum + buckets[b]) >= target) {
-          const std::uint64_t lo = bucket_lower_bound(b);
-          const std::uint64_t hi = bucket_upper_bound(b);
-          if (hi == lo) return static_cast<double>(lo);  // unit bucket
-          double frac = (target - static_cast<double>(cum)) /
-                        static_cast<double>(buckets[b]);
-          if (frac < 0.0) frac = 0.0;
-          return static_cast<double>(lo) +
-                 static_cast<double>(hi - lo) * frac;
-        }
-        cum += buckets[b];
-      }
-      return static_cast<double>(bucket_upper_bound(kHistBuckets - 1));
-    }
-
-    /// Fraction of recorded values <= v (resolution: bucket boundaries;
-    /// exact for v < 16 thanks to the unit buckets).
-    double fraction_at_most(std::uint64_t v) const noexcept {
-      if (count == 0) return 0.0;
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b <= bucket_index(v); ++b) cum += buckets[b];
-      return static_cast<double>(cum) / static_cast<double>(count);
-    }
-
-    /// Bucket-wise addition — the merge operation that makes per-stripe,
-    /// per-thread and per-run histograms combine losslessly.
-    void merge(const Histogram& other) noexcept {
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        buckets[b] += other.buckets[b];
-      }
-      count += other.count;
-      sum += other.sum;
-    }
   };
 
   std::vector<Counter> counters;
@@ -285,7 +188,8 @@ struct CounterCells {
 };
 
 struct alignas(util::kCacheLineSize) HistStripe {
-  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+  std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>
+      buckets{};
   std::atomic<std::uint64_t> sum{0};
 };
 
@@ -328,14 +232,15 @@ class Counter {
   detail::CounterCells* cells_;
 };
 
-/// Striped unit/log2 histogram (see bucket geometry above).
+/// Striped histogram in the LatencyHistogram geometry.
 class Histogram {
  public:
   explicit Histogram(const char* name);
 
   void record(std::uint64_t v) noexcept {
     auto& s = cells_->stripes[detail::stripe_index()];
-    s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+    s.buckets[LatencyHistogram::index_of(v)].fetch_add(
+        1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
   }
 
@@ -412,13 +317,10 @@ class Registry {
       Snapshot::Histogram h;
       h.name = name;
       for (const auto& stripe : cells->stripes) {
-        for (std::size_t b = 0; b < kHistBuckets; ++b) {
-          const std::uint64_t n =
-              stripe.buckets[b].load(std::memory_order_relaxed);
-          h.buckets[b] += n;
-          h.count += n;
+        for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+          h.add_bucket(b, stripe.buckets[b].load(std::memory_order_relaxed));
         }
-        h.sum += stripe.sum.load(std::memory_order_relaxed);
+        h.add_sum(stripe.sum.load(std::memory_order_relaxed));
       }
       s.histograms.push_back(std::move(h));
     }
@@ -527,7 +429,7 @@ inline void json_escape(std::ostream& os, std::string_view s) {
 }  // namespace detail_emit
 
 /// Machine-readable form: counters/gauges as name -> value maps; histograms
-/// as sparse [bucket_lower_bound, count] pairs plus count/sum.
+/// as sparse [bucket lower bound, count] pairs plus count/sum.
 inline void Snapshot::write_json(std::ostream& os) const {
   os << "{\"counters\":{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
@@ -549,14 +451,14 @@ inline void Snapshot::write_json(std::ostream& os) const {
     const auto& h = histograms[i];
     os << "\"";
     detail_emit::json_escape(os, h.name);
-    os << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
+    os << "\":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
        << ",\"buckets\":[";
     bool first = true;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
+    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+      if (h.bucket(b) == 0) continue;
       if (!first) os << ",";
       first = false;
-      os << "[" << bucket_lower_bound(b) << "," << h.buckets[b] << "]";
+      os << "[" << LatencyHistogram::lower_of(b) << "," << h.bucket(b) << "]";
     }
     os << "]}";
   }
@@ -582,7 +484,7 @@ inline void Snapshot::print_table(std::ostream& os) const {
   }
   for (const auto& h : histograms) {
     pad(h.name);
-    os << "count " << h.count << "  mean " << h.mean() << "  p50~"
+    os << "count " << h.count() << "  mean " << h.mean() << "  p50~"
        << h.quantile(0.5) << "  p99~" << h.quantile(0.99) << "\n";
   }
 }

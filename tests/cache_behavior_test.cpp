@@ -247,19 +247,14 @@ TEST(CacheBehaviorTelemetry, SampledDepthAtMostTwoAfterCacheGrowth) {
   // be read off directly. ~1560 samples expected; at this population the
   // true <=2 fraction is ~0.95, putting the 0.9 threshold several binomial
   // standard deviations away.
-  cachetrie::obs::Snapshot::Histogram delta = *h1;
-  for (std::size_t b = 0; b < cachetrie::obs::kHistBuckets; ++b) {
-    delta.buckets[b] -= h0->buckets[b];
-  }
-  delta.count -= h0->count;
-  delta.sum -= h0->sum;
-  ASSERT_GT(delta.count, lookups / 64.0 * 0.5);
+  const cachetrie::obs::LatencyHistogram delta = h1->since(*h0);
+  ASSERT_GT(delta.count(), lookups / 64.0 * 0.5);
   // Sanity on the companion signal: a settled cache serves essentially
   // every lookup on this read-only workload.
   EXPECT_GT(static_cast<double>(hits), 0.95 * lookups);
   EXPECT_GE(delta.fraction_at_most(2), 0.9)
       << "after cache growth, >=90% of lookups should resolve within 2 "
-         "dereferences (Theorem 4.2 / paper §3.4); sampled=" << delta.count
+         "dereferences (Theorem 4.2 / paper §3.4); sampled=" << delta.count()
       << " hits=" << hits;
 }
 

@@ -88,6 +88,10 @@ TEST(Epoch, GracePeriodProtectsReaders) {
   auto& dom = EpochDomain::instance();
   struct Box {
     std::atomic<std::uint64_t> canary{0xDEADBEEFCAFEBABEULL};
+    // Poison on destruction, which EBR runs only after the grace period, so
+    // a reader still dereferencing a freed box trips the canary (best
+    // effort; ASan builds catch the use-after-free outright).
+    ~Box() { canary.store(0, std::memory_order_relaxed); }
   };
   std::atomic<Box*> shared{new Box()};
   std::atomic<bool> stop{false};
@@ -111,10 +115,6 @@ TEST(Epoch, GracePeriodProtectsReaders) {
       auto g = dom.pin();
       Box* fresh = new Box();
       Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-      // Poison on destruction so a use-after-free trips the canary (best
-      // effort; ASan builds catch it outright).
-      old->canary.store(0, std::memory_order_relaxed);  // logically dead
-      old->canary.store(0xDEADBEEFCAFEBABEULL, std::memory_order_relaxed);
       dom.retire(old);
     }
     stop.store(true, std::memory_order_release);

@@ -1,7 +1,8 @@
 // metrics_test.cpp — unit tests of the obs/ observability substrate:
-// bucket geometry, striped counter/histogram exactness under concurrency,
-// snapshot-vs-reset semantics, and the static zero-size guarantee the OFF
-// configuration relies on.
+// striped counter/histogram exactness under concurrency, registry
+// histograms agreeing bucket for bucket with obs::LatencyHistogram (whose
+// geometry tests/latency_test.cpp pins), snapshot-vs-reset semantics, and
+// the static zero-size guarantee the OFF configuration relies on.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -16,39 +17,6 @@
 namespace obs = cachetrie::obs;
 
 namespace {
-
-// --- bucket geometry (compile-time + runtime spot checks) ------------------
-
-// The static_asserts in metrics.hpp already pin the corners; these pin the
-// general shape so a bucket-math refactor cannot silently shift boundaries.
-static_assert(obs::bucket_index(1) == 1);
-static_assert(obs::bucket_index(15) == 15);
-static_assert(obs::bucket_index(16) == 16);
-static_assert(obs::bucket_index(17) == 16);
-static_assert(obs::bucket_index(63) == 17);
-static_assert(obs::bucket_index(64) == 18);
-static_assert(obs::bucket_lower_bound(17) == 32);
-static_assert(obs::bucket_upper_bound(17) == 63);
-
-TEST(MetricsBuckets, UnitBucketsAreExactBelow16) {
-  for (std::uint64_t v = 0; v < 16; ++v) {
-    EXPECT_EQ(obs::bucket_index(v), v);
-    EXPECT_EQ(obs::bucket_lower_bound(v), v);
-    EXPECT_EQ(obs::bucket_upper_bound(v), v);
-  }
-}
-
-TEST(MetricsBuckets, Log2BucketsPartitionTheRange) {
-  // Every bucket's lower bound maps back into that bucket, every upper
-  // bound too, and bucket b+1 starts exactly after bucket b ends.
-  for (std::size_t b = 16; b + 1 < obs::kHistBuckets; ++b) {
-    EXPECT_EQ(obs::bucket_index(obs::bucket_lower_bound(b)), b);
-    EXPECT_EQ(obs::bucket_index(obs::bucket_upper_bound(b)), b);
-    EXPECT_EQ(obs::bucket_lower_bound(b + 1),
-              obs::bucket_upper_bound(b) + 1);
-  }
-  EXPECT_EQ(obs::bucket_index(~std::uint64_t{0}), obs::kHistBuckets - 1);
-}
 
 // --- OFF configuration: zero-size, constexpr no-op handles -----------------
 
@@ -147,7 +115,7 @@ TEST_F(MetricsTest, HistogramConcurrentRecordingLosesNothing) {
   for (int t = 0; t < kThreads; ++t) {
     team.emplace_back([&h, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h.record((i + static_cast<std::uint64_t>(t)) % 40);  // unit + log2
+        h.record((i + static_cast<std::uint64_t>(t)) % 40);  // unit + sub
       }
     });
   }
@@ -156,10 +124,12 @@ TEST_F(MetricsTest, HistogramConcurrentRecordingLosesNothing) {
   const auto snap = obs::registry().snapshot();
   const auto* hist = snap.find_histogram("test.hist.concurrent");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, kThreads * kPerThread);
+  EXPECT_EQ(hist->count(), kThreads * kPerThread);
   std::uint64_t bucket_total = 0;
-  for (auto b : hist->buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, hist->count);
+  for (std::size_t b = 0; b < obs::LatencyHistogram::kBuckets; ++b) {
+    bucket_total += hist->bucket(b);
+  }
+  EXPECT_EQ(bucket_total, hist->count());
   // Values 0..39 uniformly: mean 19.5, exact because sum is tracked.
   EXPECT_NEAR(hist->mean(), 19.5, 0.01);
   // 16 of 40 values land below 16 -> exact unit-bucket fraction.
@@ -178,31 +148,52 @@ TEST_F(MetricsTest, SnapshotHistogramMergeIsBucketwiseAddition) {
   ASSERT_NE(ha, nullptr);
   ASSERT_NE(hb, nullptr);
 
-  obs::Snapshot::Histogram merged = *ha;
+  obs::LatencyHistogram merged = *ha;
   merged.merge(*hb);
-  EXPECT_EQ(merged.count, 7u);
-  EXPECT_EQ(merged.sum, 522u + 36u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(1)], 3u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(15)], 1u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(20)], 2u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(500)], 1u);
+  using LH = obs::LatencyHistogram;
+  EXPECT_EQ(merged.count(), 7u);
+  EXPECT_EQ(merged.sum(), 522u + 36u);
+  EXPECT_EQ(merged.bucket(LH::index_of(1)), 3u);
+  EXPECT_EQ(merged.bucket(LH::index_of(15)), 1u);
+  EXPECT_EQ(merged.bucket(LH::index_of(20)), 2u);
+  EXPECT_EQ(merged.bucket(LH::index_of(500)), 1u);
 }
 
-TEST_F(MetricsTest, QuantileUpperBoundWalksTheCdf) {
-  obs::Histogram h{"test.hist.quantile"};
-  for (std::uint64_t i = 0; i < 100; ++i) h.record(i < 90 ? 2 : 100);
+TEST_F(MetricsTest, RegistryHistogramMatchesLatencyHistogram) {
+  // The registry's striped histogram and a plain LatencyHistogram are one
+  // geometry: the same values give the same buckets, totals and quantiles.
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t v = 0; v < 32; ++v) values.push_back(v);  // unit range
+  for (std::uint64_t v = 32; v < (1u << 20); v = v * 5 / 4 + 1) {
+    values.push_back(v);  // sub-bucket range
+  }
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  for (std::uint64_t v : {k32, k32 + 12345, (k32 << 8) + 7, k32 << 18}) {
+    values.push_back(v);  // above 2^32
+  }
+  obs::Histogram striped{"test.hist.geometry"};
+  obs::LatencyHistogram plain;
+  for (std::uint64_t v : values) {
+    striped.record(v);
+    plain.record(v);
+  }
+
   const auto snap = obs::registry().snapshot();
-  const auto* hist = snap.find_histogram("test.hist.quantile");
+  const auto* hist = snap.find_histogram("test.hist.geometry");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->quantile_upper_bound(0.5), 2u);
-  // 100 lands in the [64,127] bucket; its upper bound is 127.
-  EXPECT_EQ(hist->quantile_upper_bound(0.99), 127u);
+  EXPECT_EQ(hist->count(), plain.count());
+  EXPECT_EQ(hist->sum(), plain.sum());
+  for (std::size_t b = 0; b < obs::LatencyHistogram::kBuckets; ++b) {
+    EXPECT_EQ(hist->bucket(b), plain.bucket(b)) << "bucket " << b;
+  }
+  for (double p : {0.5, 0.99, 0.999}) {
+    EXPECT_DOUBLE_EQ(hist->quantile(p), plain.quantile(p)) << "p=" << p;
+  }
 }
 
 TEST_F(MetricsTest, QuantileInterpolatesWithinBucket) {
-  // quantile_upper_bound snaps to the bucket ceiling — p99 of a
-  // distribution topping out at 100 reports 127. The interpolated
-  // quantile() must land inside the bucket, not on its edge.
+  // quantile() interpolates inside the landing bucket: it must land
+  // between the bucket's edges, not on its ceiling.
   obs::Histogram h{"test.hist.quantile_interp"};
   for (std::uint64_t i = 0; i < 100; ++i) h.record(i < 90 ? 2 : 100);
   const auto snap = obs::registry().snapshot();
@@ -210,22 +201,21 @@ TEST_F(MetricsTest, QuantileInterpolatesWithinBucket) {
   ASSERT_NE(hist, nullptr);
   // Unit bucket: exact, no interpolation artifacts.
   EXPECT_DOUBLE_EQ(hist->quantile(0.5), 2.0);
-  // [64,127] holds ranks 91..100; p99 (rank 99) sits ~90% into the
-  // bucket: 64 + 63 * (99 - 90) / 10 = 120.7. Anything in (64, 127)
-  // beats the old 127 ceiling; pin the exact interpolation too.
+  // [100,103] holds ranks 91..100; p99 (rank 99) sits 90% into the
+  // bucket: 100 + 3 * (99 - 90) / 10 = 102.7.
   const double p99 = hist->quantile(0.99);
-  EXPECT_GT(p99, 64.0);
-  EXPECT_LT(p99, 127.0);
-  EXPECT_NEAR(p99, 64.0 + 63.0 * 0.9, 1e-9);
-  // p1 of all-identical values stays exact even in a log2 bucket.
+  EXPECT_GT(p99, 100.0);
+  EXPECT_LT(p99, 103.0);
+  EXPECT_NEAR(p99, 100.0 + 3.0 * 0.9, 1e-9);
+  // Quantiles of all-identical values stay inside their sub-bucket.
   obs::Histogram one{"test.hist.quantile_interp_one"};
   for (int i = 0; i < 50; ++i) one.record(1000);
   const auto snap2 = obs::registry().snapshot();
   const auto* h1 = snap2.find_histogram("test.hist.quantile_interp_one");
   ASSERT_NE(h1, nullptr);
   const double lo = h1->quantile(0.01), hi = h1->quantile(0.999);
-  // All mass in [512,1023]: every quantile must stay inside the bucket.
-  EXPECT_GE(lo, 512.0);
+  // All mass in [992,1023]: every quantile must stay inside the bucket.
+  EXPECT_GE(lo, 992.0);
   EXPECT_LE(hi, 1023.0);
   EXPECT_LE(lo, hi);
 }
@@ -271,8 +261,8 @@ TEST_F(MetricsTest, SnapshotIsAPointInTimeResetZeroes) {
   EXPECT_EQ(after.counter_value("test.counter.reset"), 0u);
   const auto* hist = after.find_histogram("test.hist.reset");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 0u);
-  EXPECT_EQ(hist->sum, 0u);
+  EXPECT_EQ(hist->count(), 0u);
+  EXPECT_EQ(hist->sum(), 0u);
   // The snapshot taken before the reset is plain data — unaffected.
   EXPECT_EQ(before.counter_value("test.counter.reset"), 3u);
 }
@@ -299,8 +289,8 @@ TEST_F(MetricsTest, JsonEmitterProducesBalancedNamedOutput) {
   EXPECT_NE(out.find("\"test.json.hist\""), std::string::npos);
   EXPECT_NE(out.find("\"count\":2"), std::string::npos);
   EXPECT_NE(out.find("\"sum\":303"), std::string::npos);
-  // 300 lands in [256,511]: sparse bucket pair [256,1].
-  EXPECT_NE(out.find("[256,1]"), std::string::npos);
+  // 300 lands in [288,303]: sparse bucket pair [288,1].
+  EXPECT_NE(out.find("[288,1]"), std::string::npos);
 }
 
 // --- interval differ (obs/interval.hpp) ------------------------------------
