@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # check.sh — protocol lint, then build + run the fast test label under
 # four configurations (plain, AddressSanitizer+UBSan, ThreadSanitizer,
-# Release), then a perf-smoke regression gate (scripts/perf_gate.py vs the
-# committed baseline). Each configuration gets its own build tree so they
-# never fight over the CMake cache.
+# Release; all but ASan also run the bounded and slow labels), then a
+# perf-smoke regression gate (scripts/perf_gate.py vs the committed
+# baseline). Each configuration gets its own build tree so they never
+# fight over the CMake cache.
 #
 #   scripts/check.sh        # all stages (lint plain asan tsan release perf)
 #   scripts/check.sh lint   # just one stage (lint|plain|asan|tsan|release|perf)
 #
 # The release stage (-DCMAKE_BUILD_TYPE=Release) exists because -O3 changes
-# the race windows the default build's tests see. It runs the fast and
-# bounded labels. The fault label is left out on purpose:
+# the race windows the default build's tests see. It runs the fast,
+# bounded and slow labels. The fault label is left out on purpose:
 # LockFreedom.CtrieSurvivesForeverStalls crashes in a Release build (a
 # null dereference after a winning remove CAS in ctrie's iremove, an open
 # bug listed in ROADMAP.md) and joins this stage once that is fixed. net
@@ -34,8 +35,12 @@
 # smoke-runs scripts/trace_summarize.py over whatever TRACE_*.json the
 # tests dumped.
 #
-# The slow label (soak_test, lin_check_test) is excluded here on purpose —
-# run `ctest -L slow` in any of the build trees for the long suite.
+# The slow label (soak_test, and lin_check_test's linearizability sweeps
+# over the cache-trie, its no-cache ablation and the deep-colliding-prefix
+# variant) runs in the plain, tsan and release stages: it exercises the
+# leaf transaction, chain rebuild and descent paths under perturbed
+# schedules. It takes a few seconds in the plain build and about 12 s
+# under TSan on a 4-core host. ASan skips it to keep that stage short.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -70,6 +75,9 @@ run_stage() {
     fi
     "${env_prefix[@]}" "${bounded_env[@]}" \
       ctest --test-dir "$dir" -L bounded --output-on-failure -j 1
+    echo "=== [$stage] ctest -L slow ==="
+    "${env_prefix[@]}" ctest --test-dir "$dir" -L slow --output-on-failure \
+      -j "$jobs"
   fi
   if [ "$stage" = plain ] || [ "$stage" = tsan ]; then
     echo "=== [$stage] ctest -L fault ==="

@@ -94,8 +94,7 @@ class CacheTrie {
  public:
   explicit CacheTrie(Config config = {})
       : config_(config),
-        bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0),
-        lru_window_(config.lru_idle_ticks == 0 ? 1 : config.lru_idle_ticks) {
+        bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0) {
     root_ = ANode::make(16);
     account(static_cast<std::ptrdiff_t>(ANode::alloc_size(16)));
   }
@@ -195,20 +194,8 @@ class CacheTrie {
       }
       if (cachee->kind == Kind::kANode) {
         auto* an = static_cast<ANode*>(cachee);
-        NodeBase* entry = an->slots()[slot_index(h, c->level, an->length)]
-                              .load(std::memory_order_acquire);
-        // If the relevant entry is frozen the ANode may already be detached;
-        // fall back. Otherwise the ANode is still reachable (§3.4: a node
-        // with any non-frozen entry has a path from the root).
-        if (entry == Sentinels::fv()) continue;
-        if (entry != nullptr) {
-          if (entry->kind == Kind::kFNode) continue;
-          if (entry->kind == Kind::kSNode &&
-              static_cast<SNodeT*>(entry)->txn.load(
-                  std::memory_order_acquire) == Sentinels::fs()) {
-            continue;
-          }
-        }
+        // A frozen entry means the ANode may already be detached: fall back.
+        if (!entry_unfrozen(an, h, c->level)) continue;
         bump_stat(&Stats::cache_fast_hits);
         // Same counter as the SNode fast path, so its pre-add value keeps
         // sampling one in 64 hits regardless of which hit kind fires.
@@ -263,14 +250,8 @@ class CacheTrie {
   /// Number of keys (O(n) traversal). Bounded mode: TTL-expired pairs are
   /// unobservable, so they are not counted even while physically present.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    const Horizon hz = make_horizon();
     std::size_t n = 0;
-    auto count = [&](const K&, const V&, std::uint64_t st) {
-      if (bounded_ && hz.expired(st)) return;
-      ++n;
-    };
-    for_each_node(root_, count);
+    for_each([&n](const K&, const V&) { ++n; });
     return n;
   }
 
@@ -282,11 +263,17 @@ class CacheTrie {
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     const Horizon hz = make_horizon();
-    auto visit = [&](const K& k, const V& v, std::uint64_t st) {
-      if (bounded_ && hz.expired(st)) return;
-      fn(k, v);
-    };
-    for_each_node(root_, visit);
+    walk(root_, 0, [&](const NodeBase* n, std::uint32_t) {
+      if (n->kind == Kind::kSNode) {
+        auto* sn = static_cast<const SNodeT*>(n);
+        if (!hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
+          fn(sn->key, sn->value);
+        }
+      } else if (n->kind == Kind::kLNode) {
+        auto* l = static_cast<const LNodeT*>(n);
+        if (!hz.expired(l->stamp)) fn(l->key, l->value);
+      }
+    });
   }
 
   /// Bytes of heap owned by the trie: nodes, plus the cache arrays when the
@@ -307,7 +294,12 @@ class CacheTrie {
   LevelHistogram level_histogram() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     LevelHistogram hist;
-    collect_histogram(root_, 0, hist);
+    walk(root_, 0, [&hist](const NodeBase* n, std::uint32_t lev) {
+      if (n->kind == Kind::kSNode || n->kind == Kind::kLNode) {
+        ++hist.counts[lev / 4];
+        ++hist.total;
+      }
+    });
     return hist;
   }
 
@@ -464,29 +456,57 @@ class CacheTrie {
     }
   }
 
-  /// Lazily evicts `osn` through its txn word — the identical announce/commit
-  /// pair the remove path uses, so an eviction linearizes exactly like a
-  /// remove of that key. Returns true iff this thread won the announcement
-  /// (and is therefore the unique retirer).
+  /// The leaf transaction (§3.3). Every replace, remove and eviction of a
+  /// live SNode `osn` in `slot` (at level `lev`) runs it: announce `repl`
+  /// (nullptr = removal) on osn's txn word, then commit it into the parent
+  /// slot. The txn CAS both announces the change and invalidates any cache
+  /// entry for osn. `repl_bytes` is what `repl` adds to the byte ledger,
+  /// measured while it was private. Returns true iff this thread won the
+  /// announcement and so is osn's unique retirer; on false, `repl` is
+  /// still the caller's to free.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  bool commit_txn(std::atomic<NodeBase*>& slot, SNodeT* osn, NodeBase* repl,
+                  std::ptrdiff_t repl_bytes, std::uint32_t lev,
+                  const char* announce_site = "cachetrie.txn_announce",
+                  const char* commit_site = "cachetrie.txn_commit") {
+    testkit::chaos_point(announce_site);
+    NodeBase* expected = Sentinels::no_txn();
+    // [publishes: CT_TXN]
+    if (!osn->txn.compare_exchange_strong(expected, repl,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      obs::sites::cachetrie_txn_retry.add();
+      return false;
+    }
+    // The window between the txn announcement and the slot commit is where
+    // helpers race the winner.
+    testkit::chaos_point(commit_site);
+    obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, osn->hash,
+                     lev);
+    NodeBase* eo = osn;
+    slot.compare_exchange_strong(eo, repl, std::memory_order_acq_rel,
+                                 std::memory_order_acquire);
+    // The only possible slot transition was osn -> repl (helpers commit the
+    // announced txn), so osn is out either way.
+    clear_cache_refs(osn, osn->hash, lev + 4);
+    account(repl_bytes);
+    retire_snode(osn);
+    return true;
+  }
+
+  /// Lazily evicts `osn` through the leaf transaction, so an eviction
+  /// linearizes exactly like a remove of that key. Returns true iff this
+  /// thread won the announcement (and is therefore the unique retirer).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   bool try_evict_snode(std::atomic<NodeBase*>& slot, SNodeT* osn, ANode* cur,
                        ANode* prev, std::uint32_t lev, bool expiry) {
-    testkit::chaos_point("cachetrie.evict_announce");
-    NodeBase* etxn = Sentinels::no_txn();
-    // [publishes: CT_TXN]
-    if (!osn->txn.compare_exchange_strong(etxn, nullptr,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
+    const std::uint64_t h = osn->hash;
+    if (!commit_txn(slot, osn, nullptr, 0, lev, "cachetrie.evict_announce",
+                    "cachetrie.evict_commit")) {
       return false;
     }
-    testkit::chaos_point("cachetrie.evict_commit");
-    NodeBase* eo = osn;
-    slot.compare_exchange_strong(eo, nullptr, std::memory_order_acq_rel,
-                                 std::memory_order_acquire);
-    clear_cache_refs(osn, osn->hash, lev + 4);
-    retire_snode(osn);
-    note_eviction(expiry, osn->hash, lev);
-    maybe_compress(cur, prev, osn->hash, lev);
+    note_eviction(expiry, h, lev);
+    maybe_compress(cur, prev, h, lev);
     return true;
   }
 
@@ -500,10 +520,10 @@ class CacheTrie {
     const std::size_t resident = resident_bytes();
     const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
     if (resident <= config_.ceiling_bytes) {
-      if (w < config_.lru_idle_ticks &&
+      if (w < kLruIdleTicks &&
           resident <= config_.ceiling_bytes - config_.ceiling_bytes / 4) {
         lru_window_.store(
-            std::min<std::uint64_t>(w * 2, config_.lru_idle_ticks),
+            std::min<std::uint64_t>(w * 2, kLruIdleTicks),
             std::memory_order_relaxed);
       }
       return;
@@ -513,7 +533,7 @@ class CacheTrie {
     obs::trace::emit(obs::trace::EventId::kCachetrieCeilingHit, resident,
                      config_.ceiling_bytes);
     hz.lru_floor = hz.now > w ? hz.now - w : hz.now;
-    const std::size_t evicted = evict_scan(hz, config_.evict_probes);
+    const std::size_t evicted = evict_scan(hz, kEvictProbes);
     if (evicted == 0 && w > 1) {
       lru_window_.store(w / 2, std::memory_order_relaxed);
     }
@@ -575,30 +595,35 @@ class CacheTrie {
     Horizon hz = make_horizon();
     if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
     const std::uint64_t h = hasher_(key);
-    if (auto start = cache_start(h); start.node != nullptr) {
-      const Res r = insert_rec(key, value, h, start.level, start.node,
-                               nullptr, mode, expected, hz);
-      if (r != Res::kRestart) return note_mutate_result(r);
-    }
-    while (true) {
-      const Res r =
-          insert_rec(key, value, h, 0, root_, nullptr, mode, expected, hz);
-      if (r != Res::kRestart) return note_mutate_result(r);
-      bump_stat(&Stats::root_restarts);
-      obs::sites::cachetrie_root_restart.add();
-    }
-  }
-
-  /// Counts committed mutation outcomes — linearized before the count, so
-  /// after all threads join, insert_new - remove == size() exactly (the
-  /// obs_chaos_test invariant).
-  static Res note_mutate_result(Res r) noexcept {
+    const Res r = descend(h, [&](ANode* start, std::uint32_t lev) {
+      return insert_rec(key, value, h, lev, start, nullptr, mode, expected,
+                        hz);
+    });
+    // Counted after the linearization point, so after all threads join,
+    // insert_new - remove == size() exactly (the obs_chaos_test invariant).
     if (r == Res::kNew) {
       obs::sites::cachetrie_insert_new.add();
     } else if (r == Res::kReplaced) {
       obs::sites::cachetrie_replace.add();
     }
     return r;
+  }
+
+  /// The write-path restart loop: runs step(start, level) from the deepest
+  /// valid cached ANode, then from the root until it stops asking for a
+  /// restart. Only root restarts are counted.
+  template <typename Step>
+  Res descend(std::uint64_t h, Step&& step) {
+    if (auto start = cache_start(h); start.node != nullptr) {
+      const Res r = step(start.node, start.level);
+      if (r != Res::kRestart) return r;
+    }
+    while (true) {
+      const Res r = step(root_, 0);
+      if (r != Res::kRestart) return r;
+      bump_stat(&Stats::root_restarts);
+      obs::sites::cachetrie_root_restart.add();
+    }
   }
 
   struct CacheStart {
@@ -608,7 +633,7 @@ class CacheTrie {
 
   /// Finds a cached ANode to begin a write-path descent. Only ANode cachees
   /// are usable (writes may need the node's parent, which the cache cannot
-  /// supply for SNodes). Mirrors the validity checks of the fast lookup.
+  /// supply for SNodes).
   CacheStart cache_start(std::uint64_t h) const {
     if (!config_.use_cache) return {};
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
@@ -617,20 +642,24 @@ class CacheTrie {
           c->entries()[c->index_of(h)].load(std::memory_order_acquire);
       if (cachee == nullptr || cachee->kind != Kind::kANode) continue;
       auto* an = static_cast<ANode*>(cachee);
-      NodeBase* entry = an->slots()[slot_index(h, c->level, an->length)]
-                            .load(std::memory_order_acquire);
-      if (entry == Sentinels::fv()) continue;
-      if (entry != nullptr) {
-        if (entry->kind == Kind::kFNode) continue;
-        if (entry->kind == Kind::kSNode &&
-            static_cast<SNodeT*>(entry)->txn.load(
-                std::memory_order_acquire) == Sentinels::fs()) {
-          continue;
-        }
-      }
-      return {an, c->level};
+      if (entry_unfrozen(an, h, c->level)) return {an, c->level};
     }
     return {};
+  }
+
+  /// True while the entry of cached ANode `an` (at level `lev`) on h's
+  /// path is not frozen. §3.4: a node with any non-frozen entry still has
+  /// a path from the root; a frozen one may already be detached.
+  static bool entry_unfrozen(const ANode* an, std::uint64_t h,
+                             std::uint32_t lev) {
+    NodeBase* e = an->slots()[slot_index(h, lev, an->length)].load(
+        std::memory_order_acquire);
+    if (e == Sentinels::fv()) return false;
+    if (e == nullptr) return true;
+    if (e->kind == Kind::kFNode) return false;
+    return e->kind != Kind::kSNode ||
+           static_cast<SNodeT*>(e)->txn.load(std::memory_order_acquire) !=
+               Sentinels::fs();
   }
 
   // --- insert (paper Fig. 3) -----------------------------------------------
@@ -696,9 +725,6 @@ class CacheTrie {
     }
   }
 
-  /// Slot holds an SNode: replace in place (same key), expand a narrow node
-  /// (collision in a 4-slot node), or hang a fresh subtree (collision in a
-  /// wide node). Paper Fig. 3, lines 11-38.
   /// Value comparison for the compare-and-replace mode; instantiable even
   /// for value types without operator== (the mode is then unreachable).
   static bool value_equals(const V& a, const V& b) {
@@ -711,6 +737,9 @@ class CacheTrie {
     }
   }
 
+  /// Slot holds an SNode: replace in place (same key), expand a narrow node
+  /// (collision in a 4-slot node), or hang a fresh subtree (collision in a
+  /// wide node). Paper Fig. 3, lines 11-38.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_snode(const K& key, const V& value, std::uint64_t h,
                       std::uint32_t lev, ANode* cur, ANode* prev,
@@ -747,37 +776,18 @@ class CacheTrie {
             return Res::kExists;
           }
         }
-        // case (4): same key — two-CAS replacement. The txn CAS both
-        // announces the change and invalidates any cache entry.
+        // case (4): same key — replace through the leaf transaction.
         SNodeT* sn = SNodeT::make(h, key, value, hz.now);
-        testkit::chaos_point("cachetrie.txn_announce");
-        NodeBase* expected = Sentinels::no_txn();
-        // [publishes: CT_TXN]
-        if (osn->txn.compare_exchange_strong(expected, sn,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          // The window between the txn announcement and the slot commit is
-          // where helpers race the winner (§3.3's two-CAS protocol).
-          testkit::chaos_point("cachetrie.txn_commit");
-          obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h, lev);
-          NodeBase* eo = osn;
-          slot.compare_exchange_strong(eo, sn, std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-          // The only possible slot transition was osn -> sn (helpers commit
-          // the announced txn), so osn is out either way; we won the txn and
-          // are the unique retirer.
-          clear_cache_refs(osn, h, lev + 4);
-          account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
-          retire_snode(osn);
-          if (corpse) {
-            note_eviction(/*expiry=*/true, h, lev);
-            return Res::kNew;  // the replaced pair was semantically absent
-          }
-          return Res::kReplaced;
+        if (!commit_txn(slot, osn, sn,
+                        static_cast<std::ptrdiff_t>(sizeof(SNodeT)), lev)) {
+          delete sn;  // [delete: unpublished]
+          return Res::kRetryLevel;
         }
-        delete sn;  // [delete: unpublished]
-        obs::sites::cachetrie_txn_retry.add();
-        return Res::kRetryLevel;
+        if (corpse) {
+          note_eviction(/*expiry=*/true, h, lev);
+          return Res::kNew;  // the replaced pair was semantically absent
+        }
+        return Res::kReplaced;
       }
       // A stale colliding pair is lazily evicted instead of growing a
       // subtree under a corpse; the caller re-reads the emptied slot.
@@ -818,31 +828,18 @@ class CacheTrie {
       }
       // case (2): collision in a wide node — build a deeper subtree that
       // holds a fresh copy of osn's pair plus the new pair, and commit it
-      // through osn's txn.
+      // through the leaf transaction.
       NodeBase* subtree = create_subtree(osn, h, key, value, lev + 4, hz.now);
       // Footprint of the replacement, taken while it is still private; after
       // the txn wins, helpers may commit it and make it concurrently mutable.
       const std::ptrdiff_t sub_bytes =
           bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(subtree))
                    : 0;
-      testkit::chaos_point("cachetrie.txn_announce");
-      NodeBase* expected = Sentinels::no_txn();
-      if (osn->txn.compare_exchange_strong(expected, subtree,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-        testkit::chaos_point("cachetrie.txn_commit");
-        obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h, lev);
-        NodeBase* eo = osn;
-        slot.compare_exchange_strong(eo, subtree, std::memory_order_acq_rel,
-                                     std::memory_order_acquire);
-        clear_cache_refs(osn, h, lev + 4);
-        account(sub_bytes);
-        retire_snode(osn);
-        return Res::kNew;
+      if (!commit_txn(slot, osn, subtree, sub_bytes, lev)) {
+        destroy_subtree(subtree);
+        return Res::kRetryLevel;
       }
-      destroy_subtree_value(subtree);
-      obs::sites::cachetrie_txn_retry.add();
-      return Res::kRetryLevel;
+      return Res::kNew;
     }
     if (txn == Sentinels::fs()) return Res::kRestart;  // frozen leaf
     // A transaction is pending on this SNode: help commit it (the announced
@@ -888,80 +885,95 @@ class CacheTrie {
         account(delta);
         return Res::kNew;
       }
-      destroy_subtree_value_sparing(subtree, chain);
+      destroy_subtree(subtree, /*keep=*/chain);
       obs::sites::cachetrie_txn_retry.add();
       return Res::kRetryLevel;
     }
     // Same full hash: rebuild the chain with the pair added or replaced.
-    // Bounded mode: TTL-expired pairs are semantically absent — invisible to
-    // the mode checks, and dropped (counted as expiries) by the rebuild.
-    bool found = false;       // a live pair for `key` exists
-    bool key_corpse = false;  // an expired pair for `key` exists
-    std::size_t live_others = 0;
-    std::size_t expired_others = 0;
-    for (LNodeT* l = chain; l != nullptr; l = l->next) {
-      const bool expired = bounded_ && hz.expired(l->stamp);
-      if (l->key == key) {
-        if (expired) {
-          key_corpse = true;
-          continue;
-        }
-        found = true;
-        if (mode == Mode::kReplaceIfEquals &&
-            !value_equals(l->value, *expected_value)) {
-          return Res::kExists;
-        }
-      } else if (expired) {
-        ++expired_others;
-      } else {
-        ++live_others;
-      }
+    // A TTL-expired pair for `key` is semantically absent: the mode checks
+    // ignore it, and the rebuild evicts it (so an upsert reports the key as
+    // new), while the replace modes leave it for a later rebuild to drop.
+    const LNodeT* hit = find_in_chain(chain, h, key, hz);
+    if (hit != nullptr &&
+        (mode == Mode::kIfAbsent ||
+         (mode == Mode::kReplaceIfEquals &&
+          !value_equals(hit->value, *expected_value)))) {
+      return Res::kExists;
     }
-    if (found && mode == Mode::kIfAbsent) return Res::kExists;
-    if (!found && (mode == Mode::kReplaceOnly ||
-                   mode == Mode::kReplaceIfEquals)) {
-      // A corpse for `key` (if any) stays until a mutating walk rebuilds the
-      // chain; it is already unobservable, so reporting absent is correct.
+    if (hit == nullptr && (mode == Mode::kReplaceOnly ||
+                           mode == Mode::kReplaceIfEquals)) {
       return Res::kNotFound;
     }
-    // Rebuild without `key`'s old pair and without corpses. A chain that
-    // would hold a single pair collapses back to an SNode (chain invariant:
-    // >= 2 pairs).
-    NodeBase* replacement = nullptr;
-    LNodeT* fresh = nullptr;
-    if (live_others == 0) {
-      replacement = SNodeT::make(h, key, value, hz.now);
-    } else {
-      for (LNodeT* l = chain; l != nullptr; l = l->next) {
-        if (l->key == key || (bounded_ && hz.expired(l->stamp))) continue;
-        fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
+    if (!rebuild_chain(slot, chain, key, &value, hz, lev)) {
+      return Res::kRetryLevel;
+    }
+    return hit != nullptr ? Res::kReplaced : Res::kNew;
+  }
+
+  /// The live pair for `key` in a collision chain, or nullptr (also when the
+  /// pair is a TTL-expired corpse).
+  const LNodeT* find_in_chain(const LNodeT* chain, std::uint64_t h,
+                              const K& key, const Horizon& hz) const {
+    for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+      if (l->hash == h && l->key == key) {
+        return hz.expired(l->stamp) ? nullptr : l;
       }
-      fresh = LNodeT::make(h, key, value, fresh, hz.now);
-      replacement = fresh;
+    }
+    return nullptr;
+  }
+
+  /// Replaces the immutable chain in `slot` (at level `lev`) with one CAS.
+  /// The replacement keeps every live pair other than `key`'s, plus the
+  /// pair (key, *add) when `add` is set, and drops TTL-expired pairs,
+  /// counting each as an expiry. Chains never hold fewer than 2 pairs: one
+  /// pair left collapses to an SNode, none empties the slot. Returns the
+  /// number of pairs now in the slot, or nullopt if the CAS lost.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  std::optional<std::size_t> rebuild_chain(std::atomic<NodeBase*>& slot,
+                                           LNodeT* chain, const K& key,
+                                           const V* add, const Horizon& hz,
+                                           std::uint32_t lev) {
+    const std::uint64_t h = chain->hash;
+    std::size_t kept = add != nullptr ? 1 : 0;
+    std::size_t corpses = 0;
+    const LNodeT* survivor = nullptr;
+    for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+      if (hz.expired(l->stamp)) {
+        ++corpses;
+      } else if (!(l->key == key)) {
+        ++kept;
+        survivor = l;
+      }
+    }
+    NodeBase* repl = nullptr;
+    if (kept == 1) {
+      repl = add != nullptr ? SNodeT::make(h, key, *add, hz.now)
+                            : SNodeT::make(h, survivor->key, survivor->value,
+                                           survivor->stamp);
+    } else if (kept > 1) {
+      LNodeT* fresh = nullptr;
+      for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+        if (hz.expired(l->stamp) || l->key == key) continue;
+        fresh = LNodeT::make(h, l->key, l->value, fresh, l->stamp);
+      }
+      if (add != nullptr) fresh = LNodeT::make(h, key, *add, fresh, hz.now);
+      repl = fresh;
     }
     NodeBase* expected = chain;
-    if (slot.compare_exchange_strong(expected, replacement,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      account(static_cast<std::ptrdiff_t>(
-          live_others == 0 ? sizeof(SNodeT)
-                           : (live_others + 1) * sizeof(LNodeT)));
-      for (std::size_t i = 0; i < expired_others; ++i) {
-        note_eviction(/*expiry=*/true, h, lev);
-      }
-      // The old pair for `key`, when expired, is evicted-by-replacement just
-      // like the SNode corpse path: count it and report the key as new.
-      if (key_corpse) note_eviction(/*expiry=*/true, h, lev);
-      retire_chain(chain);
-      return found ? Res::kReplaced : Res::kNew;
+    if (!slot.compare_exchange_strong(expected, repl,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      destroy_subtree(repl);
+      obs::sites::cachetrie_txn_retry.add();
+      return std::nullopt;
     }
-    if (live_others == 0) {
-      delete static_cast<SNodeT*>(replacement);  // [delete: unpublished]
-    } else {
-      destroy_chain(fresh);
+    account(static_cast<std::ptrdiff_t>(kept == 1 ? sizeof(SNodeT)
+                                                  : kept * sizeof(LNodeT)));
+    for (std::size_t i = 0; i < corpses; ++i) {
+      note_eviction(/*expiry=*/true, h, lev);
     }
-    obs::sites::cachetrie_txn_retry.add();
-    return Res::kRetryLevel;
+    retire_chain(chain);
+    return kept;
   }
 
   // --- lookup (paper Fig. 2, with the Fig. 6 cache hooks) -------------------
@@ -1000,14 +1012,10 @@ class CacheTrie {
       case Kind::kLNode: {
         note_leaf_level(nullptr, lev + 4, cache_level, start_lev,
                         sample_depth);
-        for (const LNodeT* l = static_cast<const LNodeT*>(old); l != nullptr;
-             l = l->next) {
-          if (l->hash == h && l->key == key) {
-            if (bounded_ && hz.expired(l->stamp)) return std::nullopt;
-            return l->value;
-          }
-        }
-        return std::nullopt;
+        const LNodeT* l =
+            find_in_chain(static_cast<const LNodeT*>(old), h, key, hz);
+        if (l == nullptr) return std::nullopt;
+        return l->value;
       }
       case Kind::kENode: {
         // A pending expansion/compression: continue read-only through the
@@ -1023,14 +1031,10 @@ class CacheTrie {
                             static_cast<const ANode*>(frozen), cache_level,
                             start_lev, sample_depth, hz);
         }
-        for (const LNodeT* l = static_cast<const LNodeT*>(frozen);
-             l != nullptr; l = l->next) {
-          if (l->hash == h && l->key == key) {
-            if (bounded_ && hz.expired(l->stamp)) return std::nullopt;
-            return l->value;
-          }
-        }
-        return std::nullopt;
+        const LNodeT* l =
+            find_in_chain(static_cast<const LNodeT*>(frozen), h, key, hz);
+        if (l == nullptr) return std::nullopt;
+        return l->value;
       }
       default:
         assert(false && "unexpected node kind in ANode slot");
@@ -1066,7 +1070,7 @@ class CacheTrie {
     // so for them every probing hash yields the same index.)
     if (cache_level == kNoCacheLevel) {
       // No cache yet: a sufficiently deep leaf triggers creation (Fig. 7).
-      if (sn != nullptr && leaf_lev >= config_.cache_init_trigger_level) {
+      if (sn != nullptr && leaf_lev >= kCacheInitTriggerLevel) {
         maybe_inhabit(sn, sn->hash, leaf_lev);
       }
       return;
@@ -1090,35 +1094,16 @@ class CacheTrie {
     const std::uint64_t h = hasher_(key);
     const Horizon hz = make_horizon();
     std::optional<V> out;
-    if (auto start = cache_start(h); start.node != nullptr) {
-      const Res r = remove_rec(key, h, start.level, start.node, nullptr, &out,
-                               expected, hz);
-      if (r != Res::kRestart) {
-        if (r == Res::kRemoved) {
-          if (as_evict) {
-            note_eviction(/*expiry=*/false, h, 0);
-          } else {
-            obs::sites::cachetrie_remove.add();
-          }
-        }
-        return r == Res::kRemoved ? std::move(out) : std::nullopt;
-      }
+    const Res r = descend(h, [&](ANode* start, std::uint32_t lev) {
+      return remove_rec(key, h, lev, start, nullptr, &out, expected, hz);
+    });
+    if (r != Res::kRemoved) return std::nullopt;
+    if (as_evict) {
+      note_eviction(/*expiry=*/false, h, 0);
+    } else {
+      obs::sites::cachetrie_remove.add();
     }
-    while (true) {
-      const Res r = remove_rec(key, h, 0, root_, nullptr, &out, expected, hz);
-      if (r != Res::kRestart) {
-        if (r == Res::kRemoved) {
-          if (as_evict) {
-            note_eviction(/*expiry=*/false, h, 0);
-          } else {
-            obs::sites::cachetrie_remove.add();
-          }
-        }
-        return r == Res::kRemoved ? std::move(out) : std::nullopt;
-      }
-      bump_stat(&Stats::root_restarts);
-      obs::sites::cachetrie_root_restart.add();
-    }
+    return out;
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
@@ -1158,27 +1143,13 @@ class CacheTrie {
             if (expected != nullptr && !value_equals(osn->value, *expected)) {
               return Res::kNotFound;
             }
-            // Announce removal by publishing nullptr in txn (invalidates
-            // cache entries), then commit null into the slot.
-            testkit::chaos_point("cachetrie.txn_announce");
-            NodeBase* etxn = Sentinels::no_txn();
-            if (osn->txn.compare_exchange_strong(etxn, nullptr,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-              testkit::chaos_point("cachetrie.txn_commit");
-              obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h,
-                               lev);
-              NodeBase* eo = osn;
-              slot.compare_exchange_strong(eo, nullptr,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire);
-              *out = osn->value;
-              clear_cache_refs(osn, h, lev + 4);
-              retire_snode(osn);
+            // Removal is the leaf transaction with a null replacement.
+            *out = osn->value;
+            if (commit_txn(slot, osn, nullptr, 0, lev)) {
               maybe_compress(cur, prev, h, lev);
               return Res::kRemoved;
             }
-            obs::sites::cachetrie_txn_retry.add();
+            out->reset();
             continue;
           }
           if (txn == Sentinels::fs()) return Res::kRestart;
@@ -1192,70 +1163,19 @@ class CacheTrie {
         }
         case Kind::kLNode: {
           auto* chain = static_cast<LNodeT*>(old);
-          if (chain->hash != h) return Res::kNotFound;
-          bool found = false;
-          std::size_t live_others = 0;
-          std::size_t expired_others = 0;
-          for (LNodeT* l = chain; l != nullptr; l = l->next) {
-            const bool is_expired = bounded_ && hz.expired(l->stamp);
-            if (l->key == key) {
-              // A corpse is semantically absent: nothing to remove. It stays
-              // until a mutating rebuild of this chain drops it.
-              if (is_expired) return Res::kNotFound;
-              if (expected != nullptr && !value_equals(l->value, *expected)) {
-                return Res::kNotFound;
-              }
-              found = true;
-              *out = l->value;
-            } else if (is_expired) {
-              ++expired_others;
-            } else {
-              ++live_others;
-            }
+          // A corpse is semantically absent: nothing to remove. It stays
+          // until a mutating rebuild of this chain drops it.
+          const LNodeT* hit = find_in_chain(chain, h, key, hz);
+          if (hit == nullptr ||
+              (expected != nullptr && !value_equals(hit->value, *expected))) {
+            return Res::kNotFound;
           }
-          if (!found) return Res::kNotFound;
-          // Rebuild without the target and without corpses. Chains never
-          // hold < 2 pairs: one live survivor collapses to an SNode, zero
-          // (all others expired) empties the slot outright.
-          NodeBase* replacement = nullptr;
-          if (live_others == 1) {
-            for (LNodeT* l = chain; l != nullptr; l = l->next) {
-              if (!(l->key == key) && !(bounded_ && hz.expired(l->stamp))) {
-                replacement =
-                    SNodeT::make(l->hash, l->key, l->value, l->stamp);
-              }
-            }
-          } else if (live_others > 1) {
-            LNodeT* fresh = nullptr;
-            for (LNodeT* l = chain; l != nullptr; l = l->next) {
-              if (l->key == key || (bounded_ && hz.expired(l->stamp))) {
-                continue;
-              }
-              fresh =
-                  LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
-            }
-            replacement = fresh;
-          }
-          NodeBase* echain = chain;
-          if (slot.compare_exchange_strong(echain, replacement,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-            if (live_others == 1) {
-              account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
-            } else if (live_others > 1) {
-              account(static_cast<std::ptrdiff_t>(live_others *
-                                                  sizeof(LNodeT)));
-            }
-            for (std::size_t i = 0; i < expired_others; ++i) {
-              note_eviction(/*expiry=*/true, h, lev);
-            }
-            retire_chain(chain);
-            if (replacement == nullptr) maybe_compress(cur, prev, h, lev);
+          *out = hit->value;
+          if (auto left = rebuild_chain(slot, chain, key, nullptr, hz, lev)) {
+            if (*left == 0) maybe_compress(cur, prev, h, lev);
             return Res::kRemoved;
           }
-          if (replacement != nullptr) destroy_subtree_value(replacement);
           out->reset();
-          obs::sites::cachetrie_txn_retry.add();
           continue;
         }
         case Kind::kENode:
@@ -1417,7 +1337,7 @@ class CacheTrie {
     if (!en->result.compare_exchange_strong(expected, replacement,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
-      destroy_subtree_value(replacement);  // lost the build race
+      destroy_subtree(replacement);  // lost the build race
     }
     NodeBase* committed = en->result.load(std::memory_order_acquire);
     // Footprint of the committed replacement, taken before the parent-slot
@@ -1582,55 +1502,6 @@ class CacheTrie {
 
   // --- deallocation helpers ---------------------------------------------------
 
-  /// Deep-deletes an unpublished value subtree (lost CAS races, ENode build
-  /// races). Never called on anything reachable.
-  void destroy_subtree_value(NodeBase* node) {
-    if (node == nullptr || node == Sentinels::fv()) return;
-    switch (node->kind) {
-      case Kind::kSNode:
-        delete static_cast<SNodeT*>(node);
-        return;
-      case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(node));
-        return;
-      case Kind::kANode: {
-        auto* an = static_cast<ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          destroy_subtree_value(
-              an->slots()[i].load(std::memory_order_relaxed));
-        }
-        ANode::destroy(an);
-        return;
-      }
-      default:
-        assert(false && "unexpected node kind in unpublished subtree");
-    }
-  }
-
-  /// Like destroy_subtree_value, but spares `keep` (an existing chain that
-  /// was linked, not copied, into the failed subtree).
-  void destroy_subtree_value_sparing(NodeBase* node, NodeBase* keep) {
-    if (node == nullptr || node == keep) return;
-    if (node->kind == Kind::kANode) {
-      auto* an = static_cast<ANode*>(node);
-      for (std::uint32_t i = 0; i < an->length; ++i) {
-        destroy_subtree_value_sparing(
-            an->slots()[i].load(std::memory_order_relaxed), keep);
-      }
-      ANode::destroy(an);
-      return;
-    }
-    destroy_subtree_value(node);
-  }
-
-  void destroy_chain(LNodeT* chain) {
-    while (chain != nullptr) {
-      LNodeT* next = chain->next;
-      delete chain;
-      chain = next;
-    }
-  }
-
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void retire_chain(LNodeT* chain) {
     while (chain != nullptr) {
@@ -1682,37 +1553,43 @@ class CacheTrie {
                                 ANode::alloc_size(frozen->length));
   }
 
-  /// Destructor-only: deep-deletes the live structure, including remnants of
-  /// unfinished announcements (possible if the trie is destroyed right after
-  /// a crashed thread... in practice: after quiescence these do not occur,
-  /// but handling them keeps the destructor total).
-  void destroy_subtree(NodeBase* node) {
-    if (node == nullptr || node == Sentinels::fv()) return;
+  /// Deep-deletes a subtree no other thread can reach: an unpublished
+  /// replacement that lost its CAS race, or, from the destructor, the whole
+  /// trie. `keep` is spared: an existing chain that was linked, not copied,
+  /// into a failed replacement. Announcement remnants are handled so the
+  /// destructor stays total even though a quiescent trie holds none.
+  void destroy_subtree(NodeBase* node, const NodeBase* keep = nullptr) {
+    if (node == nullptr || node == keep || node == Sentinels::fv()) return;
     switch (node->kind) {
       case Kind::kSNode:
         delete static_cast<SNodeT*>(node);
         return;
       case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(node));
+        for (auto* l = static_cast<LNodeT*>(node); l != nullptr;) {
+          LNodeT* next = l->next;
+          delete l;
+          l = next;
+        }
         return;
       case Kind::kFNode: {
         auto* fn = static_cast<FNode*>(node);
-        destroy_subtree(fn->frozen);
+        destroy_subtree(fn->frozen, keep);
         delete fn;
         return;
       }
       case Kind::kENode: {
         auto* en = static_cast<ENode*>(node);
-        destroy_subtree(en->target);
+        destroy_subtree(en->target, keep);
         NodeBase* result = en->result.load(std::memory_order_relaxed);
-        if (result != Sentinels::pending()) destroy_subtree(result);
+        if (result != Sentinels::pending()) destroy_subtree(result, keep);
         delete en;
         return;
       }
       case Kind::kANode: {
         auto* an = static_cast<ANode*>(node);
         for (std::uint32_t i = 0; i < an->length; ++i) {
-          destroy_subtree(an->slots()[i].load(std::memory_order_relaxed));
+          destroy_subtree(an->slots()[i].load(std::memory_order_relaxed),
+                          keep);
         }
         ANode::destroy(an);
         return;
@@ -1726,16 +1603,16 @@ class CacheTrie {
 
   /// Writes `nv` into the cache if the cache covers `node_level`, creating
   /// the cache at cache_init_level the first time a node at or below
-  /// cache_init_trigger_level shows up (Fig. 7).
+  /// kCacheInitTriggerLevel shows up (Fig. 7).
   void maybe_inhabit(NodeBase* nv, std::uint64_t h,
                      std::uint32_t node_level) const {
     if (!config_.use_cache) return;
     // [acquires: CT_CACHE_HEAD]
     CacheArray* cache = cache_head_.load(std::memory_order_acquire);
     if (cache == nullptr) {
-      if (node_level < config_.cache_init_trigger_level) return;
+      if (node_level < kCacheInitTriggerLevel) return;
       CacheArray* fresh = CacheArray::make(config_.cache_init_level,
-                                           config_.miss_slots, nullptr);
+                                           kMissSlots, nullptr);
       CacheArray* expected = nullptr;
       // [publishes: CT_CACHE_HEAD]
       if (cache_head_.compare_exchange_strong(expected, fresh,
@@ -1851,7 +1728,7 @@ class CacheTrie {
     obs::sites::cachetrie_sampling_pass.add();
     std::array<std::uint32_t, 17> hist{};
     auto& rng = util::thread_rng();
-    for (std::uint32_t s = 0; s < config_.sample_size; ++s) {
+    for (std::uint32_t s = 0; s < kSampleSize; ++s) {
       const int lev = sample_path_leaf_level(rng.next());
       if (lev >= 0) {
         ++hist[static_cast<std::size_t>(lev) / 4];
@@ -1920,7 +1797,7 @@ class CacheTrie {
     if (head->level == desired) return;
     if (desired > head->level) {
       CacheArray* fresh =
-          CacheArray::make(desired, config_.miss_slots, head);
+          CacheArray::make(desired, kMissSlots, head);
       CacheArray* expected = head;
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
@@ -1939,7 +1816,7 @@ class CacheTrie {
     while (anc != nullptr && anc->level > desired) anc = anc->parent;
     CacheArray* fresh = (anc != nullptr && anc->level == desired)
                             ? anc
-                            : CacheArray::make(desired, config_.miss_slots,
+                            : CacheArray::make(desired, kMissSlots,
                                                anc);
     CacheArray* expected = head;
     if (cache_head_.compare_exchange_strong(expected, fresh,
@@ -1968,35 +1845,33 @@ class CacheTrie {
 
   // --- traversals --------------------------------------------------------------
 
-  /// Invokes fn(key, value, stamp) for every pair in the subtree (the public
-  /// wrappers adapt the arity and filter corpses in bounded mode).
+  /// Calls fn(node, lev) for every node reachable from `node`, each link of
+  /// a collision chain included. `lev` is the level of the slot holding the
+  /// node: an ANode's children get lev + 4, while ENode and FNode wrappers
+  /// pass their own level on to the node they wrap.
   template <typename F>
-  void for_each_node(const NodeBase* node, F& fn) const {
+  void walk(const NodeBase* node, std::uint32_t lev, F&& fn) const {
     if (node == nullptr || node == Sentinels::fv()) return;
+    fn(node, lev);
     switch (node->kind) {
-      case Kind::kSNode: {
-        auto* sn = static_cast<const SNodeT*>(node);
-        fn(sn->key, sn->value, sn->stamp.load(std::memory_order_relaxed));
-        return;
-      }
       case Kind::kLNode:
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
-             l = l->next) {
-          fn(l->key, l->value, l->stamp);
+        for (const LNodeT* l = static_cast<const LNodeT*>(node)->next;
+             l != nullptr; l = l->next) {
+          fn(l, lev);
         }
         return;
       case Kind::kANode: {
         auto* an = static_cast<const ANode*>(node);
         for (std::uint32_t i = 0; i < an->length; ++i) {
-          for_each_node(an->slots()[i].load(std::memory_order_acquire), fn);
+          walk(an->slots()[i].load(std::memory_order_acquire), lev + 4, fn);
         }
         return;
       }
       case Kind::kENode:
-        for_each_node(static_cast<const ENode*>(node)->target, fn);
+        walk(static_cast<const ENode*>(node)->target, lev, fn);
         return;
       case Kind::kFNode:
-        for_each_node(static_cast<const FNode*>(node)->frozen, fn);
+        walk(static_cast<const FNode*>(node)->frozen, lev, fn);
         return;
       default:
         return;
@@ -2004,72 +1879,29 @@ class CacheTrie {
   }
 
   std::size_t subtree_footprint(const NodeBase* node) const {
-    if (node == nullptr || node == Sentinels::fv()) return 0;
-    switch (node->kind) {
-      case Kind::kSNode:
-        return sizeof(SNodeT);
-      case Kind::kLNode: {
-        std::size_t bytes = 0;
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
-             l = l->next) {
+    std::size_t bytes = 0;
+    walk(node, 0, [&bytes](const NodeBase* n, std::uint32_t) {
+      switch (n->kind) {
+        case Kind::kSNode:
+          bytes += sizeof(SNodeT);
+          return;
+        case Kind::kLNode:
           bytes += sizeof(LNodeT);
-        }
-        return bytes;
+          return;
+        case Kind::kANode:
+          bytes += ANode::alloc_size(static_cast<const ANode*>(n)->length);
+          return;
+        case Kind::kENode:
+          bytes += sizeof(ENode);
+          return;
+        case Kind::kFNode:
+          bytes += sizeof(FNode);
+          return;
+        default:
+          return;
       }
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        std::size_t bytes = ANode::alloc_size(an->length);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          bytes += subtree_footprint(
-              an->slots()[i].load(std::memory_order_acquire));
-        }
-        return bytes;
-      }
-      case Kind::kENode:
-        return sizeof(ENode) +
-               subtree_footprint(static_cast<const ENode*>(node)->target);
-      case Kind::kFNode:
-        return sizeof(FNode) +
-               subtree_footprint(static_cast<const FNode*>(node)->frozen);
-      default:
-        return 0;
-    }
-  }
-
-  void collect_histogram(const NodeBase* node, std::uint32_t lev,
-                         LevelHistogram& hist) const {
-    if (node == nullptr || node == Sentinels::fv()) return;
-    switch (node->kind) {
-      case Kind::kSNode:
-        ++hist.counts[lev / 4];
-        ++hist.total;
-        return;
-      case Kind::kLNode:
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
-             l = l->next) {
-          ++hist.counts[lev / 4];
-          ++hist.total;
-        }
-        return;
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          collect_histogram(an->slots()[i].load(std::memory_order_acquire),
-                            lev + 4, hist);
-        }
-        return;
-      }
-      case Kind::kENode:
-        collect_histogram(static_cast<const ENode*>(node)->target, lev,
-                          hist);
-        return;
-      case Kind::kFNode:
-        collect_histogram(static_cast<const FNode*>(node)->frozen, lev,
-                          hist);
-        return;
-      default:
-        return;
-    }
+    });
+    return bytes;
   }
 
   void validate_node(const NodeBase* node, std::uint64_t prefix,
@@ -2156,7 +1988,7 @@ class CacheTrie {
   /// Signed so transient publish/retire interleavings can dip below zero.
   mutable std::atomic<std::int64_t> resident_bytes_{0};
   std::atomic<std::uint64_t> evict_cursor_{0};
-  std::atomic<std::uint64_t> lru_window_{1};
+  std::atomic<std::uint64_t> lru_window_{kLruIdleTicks};
   mutable std::atomic<std::uint64_t> lru_evictions_{0};
   mutable std::atomic<std::uint64_t> ttl_expiries_{0};
   mutable std::atomic<std::uint64_t> backpressure_scans_{0};

@@ -1,7 +1,8 @@
 // config.hpp — tuning knobs of the cache-trie.
 //
-// Defaults follow the paper; every knob exists so the ablation benches and
-// the property tests can move it.
+// Defaults follow the paper. Config holds the knobs that benches, tests or
+// the bounded mode actually set; parameters that nothing moves are the
+// constants declared before it.
 #pragma once
 
 #include <atomic>
@@ -14,6 +15,28 @@ namespace cachetrie {
 /// current tick; tests point it at a test-controlled atomic so TTL expiry is
 /// deterministic. A plain function pointer keeps Config trivially copyable.
 using TickFn = std::uint64_t (*)();
+
+/// Number of padded per-thread miss counters in each cache array (the
+/// paper's THROUGHPUT_FACTOR * #CPU).
+inline constexpr std::uint32_t kMissSlots = 16;
+
+/// The cache is first created when a slow operation encounters a node at
+/// this trie level or deeper (§3.5: "If the cachee level is 12, inhabit
+/// initializes the cache at level 8"; Config::cache_init_level is the 8).
+inline constexpr std::uint32_t kCacheInitTriggerLevel = 12;
+
+/// Random trie descents per sampling pass (§3.6: "The thread repeats this
+/// several times").
+inline constexpr std::uint32_t kSampleSize = 192;
+
+/// Initial width of the bounded mode's adaptive LRU window: under ceiling
+/// pressure, pairs idle for more than this many ticks are evictable. The
+/// window halves when a backpressure scan frees nothing and relaxes back
+/// once the footprint drops below 3/4 of the ceiling.
+inline constexpr std::uint64_t kLruIdleTicks = 1024;
+
+/// Hash paths probed per backpressure scan (the lazy clock hand).
+inline constexpr std::uint32_t kEvictProbes = 8;
 
 struct Config {
   /// Master switch for the auxiliary cache (§3.4). Off reproduces the
@@ -33,14 +56,8 @@ struct Config {
   /// pass (§3.6; "experimentally set to 2048" in the paper).
   std::uint32_t max_misses = 2048;
 
-  /// Number of padded per-thread miss counters (the paper's
-  /// THROUGHPUT_FACTOR * #CPU).
-  std::uint32_t miss_slots = 16;
-
-  /// The cache is first created when a slow operation encounters a node at
-  /// this trie level or deeper (§3.5: "If the cachee level is 12, inhabit
-  /// initializes the cache at level 8").
-  std::uint32_t cache_init_trigger_level = 12;
+  /// Level the cache is created at, once a slow operation meets a node at
+  /// kCacheInitTriggerLevel or deeper (§3.5).
   std::uint32_t cache_init_level = 8;
 
   /// Bounds for the adaptive cache level. The lower bound keeps the cache
@@ -48,10 +65,6 @@ struct Config {
   /// cache array at 2^max_cache_level pointers.
   std::uint32_t min_cache_level = 8;
   std::uint32_t max_cache_level = 24;
-
-  /// Random trie descents per sampling pass (§3.6: "The thread repeats this
-  /// several times").
-  std::uint32_t sample_size = 192;
 
   /// Maintain operation counters (expansions, cache hits, ...). Off by
   /// default: benches must not pay for shared-counter traffic.
@@ -69,15 +82,6 @@ struct Config {
   /// TTL in ticks (0 = no TTL): a pair whose stamp is older than
   /// `now - ttl_ticks` is semantically absent and lazily evicted.
   std::uint64_t ttl_ticks = 0;
-
-  /// Initial width of the adaptive LRU window: under ceiling pressure,
-  /// pairs idle for more than this many ticks are evictable. The window
-  /// halves when a backpressure scan frees nothing and relaxes back once
-  /// the footprint drops below 3/4 of the ceiling.
-  std::uint64_t lru_idle_ticks = 1024;
-
-  /// Hash paths probed per backpressure scan (the lazy clock hand).
-  std::uint32_t evict_probes = 8;
 
   /// Clock for stamps and horizons; nullptr = a per-trie logical tick that
   /// advances once per operation.

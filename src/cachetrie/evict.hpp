@@ -78,8 +78,6 @@ inline std::size_t env_ceiling_bytes() {
 struct BoundedConfig {
   std::size_t ceiling_bytes = 0;      // 0 -> CACHETRIE_CACHE_CEILING_BYTES
   std::uint64_t ttl_ticks = 0;        // 0 -> no TTL
-  std::uint64_t lru_idle_ticks = 1024;
-  std::uint32_t evict_probes = 8;
   TickFn tick = nullptr;              // nullptr -> per-structure logical tick
   Config trie;                        // remaining cache-trie knobs
 };
@@ -168,8 +166,6 @@ class BoundedCacheTrie {
     c.ceiling_bytes =
         cfg.ceiling_bytes != 0 ? cfg.ceiling_bytes : env_ceiling_bytes();
     c.ttl_ticks = cfg.ttl_ticks;
-    c.lru_idle_ticks = cfg.lru_idle_ticks;
-    c.evict_probes = cfg.evict_probes;
     c.tick_fn = cfg.tick;
     c.resident_gauge = &process_resident_bytes();
     return c;
@@ -199,8 +195,7 @@ class BoundedChm {
   explicit BoundedChm(BoundedConfig cfg = {})
       : cfg_(cfg),
         ceiling_(cfg.ceiling_bytes != 0 ? cfg.ceiling_bytes
-                                        : env_ceiling_bytes()),
-        lru_window_(cfg.lru_idle_ticks == 0 ? 1 : cfg.lru_idle_ticks) {
+                                        : env_ceiling_bytes()) {
     register_resident_gauge();
   }
 
@@ -315,7 +310,7 @@ class BoundedChm {
     obs::sites::cachetrie_evict_backpressure.add();
     const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
     const std::uint64_t floor = now > w ? now - w : now;
-    const std::size_t evicted = map_.evict_stale(floor, cfg_.evict_probes);
+    const std::size_t evicted = map_.evict_stale(floor, kEvictProbes);
     if (evicted != 0) {
       lru_evictions_.fetch_add(evicted, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_lru.add(evicted);
@@ -329,7 +324,7 @@ class BoundedChm {
   std::size_t ceiling_ = 0;
   Map map_;
   mutable std::atomic<std::uint64_t> op_tick_{0};
-  std::atomic<std::uint64_t> lru_window_{1024};
+  std::atomic<std::uint64_t> lru_window_{kLruIdleTicks};
   mutable std::atomic<std::uint64_t> lru_evictions_{0};
   mutable std::atomic<std::uint64_t> ttl_expiries_{0};
   mutable std::atomic<std::uint64_t> backpressure_scans_{0};

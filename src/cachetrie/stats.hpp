@@ -18,10 +18,6 @@ struct Stats {
   std::atomic<std::uint64_t> cache_misses_recorded{0};
   std::atomic<std::uint64_t> sampling_passes{0};
   std::atomic<std::uint64_t> root_restarts{0};
-
-  void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.fetch_add(1, std::memory_order_relaxed);
-  }
 };
 
 }  // namespace cachetrie

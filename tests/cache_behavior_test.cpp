@@ -26,7 +26,7 @@ Config stats_config() {
 
 TEST(CacheBehavior, NoCacheWhileTrieIsShallow) {
   // The cache is created only once some key reaches
-  // cache_init_trigger_level (12). Grow the trie key by key and check the
+  // kCacheInitTriggerLevel (12). Grow the trie key by key and check the
   // cache appears exactly when the histogram says depth >= 3 exists.
   Trie trie{stats_config()};
   for (std::uint64_t k = 0; k < 3000; ++k) {

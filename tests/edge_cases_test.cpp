@@ -4,6 +4,7 @@
 // concurrent mutation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <set>
@@ -157,27 +158,44 @@ TEST(EdgeCases, SkipListSingleKeyInsertRemoveStorm) {
 }
 
 TEST(EdgeCases, ForEachDuringConcurrentWritesIsSafe) {
+  // for_each is not a snapshot: a key removed and re-inserted while the
+  // walk runs may be missed. What it does promise, and what is checked
+  // exactly here: every reported pair is a real pair, no key is reported
+  // twice, and a key no writer touches is reported exactly once — even
+  // while expansions and compressions around it copy its node. The writer
+  // churns odd keys only, so the even keys are the untouched ones.
+  constexpr int kKeys = 30000;
   cachetrie::CacheTrie<int, int> trie;
-  for (int k = 0; k < 30000; ++k) trie.insert(k, k);
+  for (int k = 0; k < kKeys; ++k) trie.insert(k, k);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     cachetrie::util::XorShift64Star rng{5};
     while (!stop.load(std::memory_order_acquire)) {
-      const int k = static_cast<int>(rng.next_below(30000));
+      const int k = static_cast<int>(rng.next_below(kKeys / 2)) * 2 + 1;
       trie.remove(k);
       trie.insert(k, k);
     }
   });
+  std::vector<int> seen(kKeys);
   for (int round = 0; round < 20; ++round) {
-    std::size_t seen = 0;
+    std::fill(seen.begin(), seen.end(), 0);
+    std::size_t foreign = 0;  // out-of-range keys or mismatched values
     trie.for_each([&](const int& k, const int& v) {
-      // Values are always key-consistent, even mid-churn.
-      ASSERT_EQ(k, v);
-      ++seen;
+      if (k < 0 || k >= kKeys || v != k) {
+        ++foreign;
+      } else {
+        ++seen[static_cast<std::size_t>(k)];
+      }
     });
-    // At most one key is mid-flight at any time.
-    ASSERT_GE(seen, 30000u - 4);
-    ASSERT_LE(seen, 30000u);
+    EXPECT_EQ(foreign, 0u) << "round " << round;
+    for (int k = 0; k < kKeys; ++k) {
+      const int n = seen[static_cast<std::size_t>(k)];
+      if (k % 2 == 0 ? n != 1 : n > 1) {
+        ADD_FAILURE() << "round " << round << ": key " << k << " seen " << n
+                      << " times";
+        break;
+      }
+    }
   }
   stop.store(true, std::memory_order_release);
   writer.join();

@@ -5,8 +5,9 @@
 //      must linearize exactly like remove() when raced against every other
 //      operation (evict-racing-remove, evict-racing-upsert, ...).
 //   2. Lazy corpse eviction fires *inside other operations' traversals*
-//      (try_evict_snode: the same two-CAS announce/commit the remove path
-//      uses). A protocol bug there would corrupt neighbouring live pairs.
+//      (try_evict_snode runs commit_txn, the one two-CAS leaf transaction
+//      that the remove path uses too). A protocol bug there would corrupt
+//      neighbouring live pairs.
 //
 // A spontaneous eviction of a checker-visible key would be an unrecorded
 // remove — the checker would (rightly) reject the history, but that tells

@@ -24,6 +24,7 @@
 #include <set>
 
 #include "cachetrie/evict.hpp"
+#include "util/hashing.hpp"
 
 namespace {
 
@@ -179,9 +180,10 @@ TEST(TtlExpiry, MetricsEquationSingleThreaded) {
 TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
-  // Churn across generations: insert, expire, overwrite, remove — every
-  // accounting choke point (publish, retire, subtree build, chain rebuild,
-  // compression) fires at least once.
+  // Churn across generations: insert, expire, overwrite, remove — the
+  // publish, retire, subtree-build and compression choke points all fire.
+  // These mixed hashes never collide, so chain rebuilds are covered by
+  // CorpsesInsideCollisionChains below.
   for (std::uint64_t gen = 0; gen < 4; ++gen) {
     const std::uint64_t base = g_clock.load(std::memory_order_relaxed);
     for (std::uint64_t k = 0; k < 300; ++k) t.insert(k + gen * 17, k);
@@ -196,6 +198,75 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   EXPECT_EQ(t.resident_bytes(),
             t.footprint_bytes() - sizeof(BoundedTrie::Trie));
   EXPECT_TRUE(t.underlying().debug_validate().empty());
+}
+
+TEST(TtlExpiry, CorpsesInsideCollisionChains) {
+  // A constant hash puts every key in one collision chain, so each mutation
+  // below goes through the chain rebuild and its corpse handling.
+  using ChainTrie = cachetrie::evict::BoundedCacheTrie<
+      std::uint64_t, std::uint64_t, cachetrie::util::DegradedHash<0>>;
+  g_clock.store(1, std::memory_order_relaxed);
+  ChainTrie t(ttl_config());
+  // Pairs physically present, corpses included (the histogram walks the
+  // structure without filtering expired stamps).
+  const auto physical = [&t] { return t.underlying().level_histogram().total; };
+  const auto consistent = [&t] {
+    EXPECT_EQ(t.resident_bytes(),
+              t.footprint_bytes() - sizeof(ChainTrie::Trie));
+    const auto issues = t.underlying().debug_validate();
+    EXPECT_TRUE(issues.empty()) << issues.front();
+  };
+
+  for (std::uint64_t k = 0; k < 4; ++k) ASSERT_TRUE(t.insert(k, k));  // @1
+  g_clock.store(1 + kTtl / 2, std::memory_order_relaxed);
+  ASSERT_TRUE(t.insert(4, 4));
+  ASSERT_TRUE(t.insert(5, 5));
+  EXPECT_EQ(physical(), 6u);
+  consistent();
+
+  // Keys 0-3 expire; 4 and 5 stay live.
+  g_clock.store(2 + kTtl, std::memory_order_relaxed);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.lookup(1), std::nullopt);
+  // replace of a corpse reports the key absent and rebuilds nothing.
+  EXPECT_FALSE(t.replace(1, 11));
+  EXPECT_EQ(t.remove(2), std::nullopt);
+  EXPECT_EQ(t.eviction_counts().ttl_expiries, 0u);
+  EXPECT_EQ(physical(), 6u);
+  // An insert over a corpse reports the key as new; its rebuild drops all
+  // four corpses, each counted once.
+  EXPECT_TRUE(t.insert(0, 100));
+  EXPECT_EQ(t.eviction_counts().ttl_expiries, 4u);
+  EXPECT_EQ(physical(), 3u);
+  EXPECT_EQ(t.lookup(0), std::optional<std::uint64_t>(100));
+  EXPECT_EQ(t.size(), 3u);
+  consistent();
+
+  // Keys 4 and 5 expire; removing the only live key (0) leaves nothing but
+  // corpses, so the slot is emptied outright.
+  g_clock.store(2 + kTtl + kTtl / 2, std::memory_order_relaxed);
+  EXPECT_EQ(t.remove(0), std::optional<std::uint64_t>(100));
+  EXPECT_EQ(t.eviction_counts().ttl_expiries, 6u);
+  EXPECT_EQ(physical(), 0u);
+  EXPECT_EQ(t.size(), 0u);
+  consistent();
+
+  // A rebuild that keeps one pair collapses the chain back to an SNode.
+  const std::uint64_t base = g_clock.load(std::memory_order_relaxed);
+  ASSERT_TRUE(t.insert(13, 13));
+  ASSERT_TRUE(t.insert(14, 14));
+  g_clock.store(base + kTtl, std::memory_order_relaxed);
+  ASSERT_TRUE(t.insert(15, 15));  // 13 and 14 still live: a chain of 3
+  g_clock.store(base + 2 * kTtl, std::memory_order_relaxed);
+  ASSERT_TRUE(t.insert(16, 16));  // drops 13 and 14: a chain of {15, 16}
+  EXPECT_EQ(t.eviction_counts().ttl_expiries, 8u);
+  EXPECT_EQ(physical(), 2u);
+  EXPECT_EQ(t.remove(16), std::optional<std::uint64_t>(16));
+  EXPECT_EQ(physical(), 1u);
+  EXPECT_EQ(t.lookup(15), std::optional<std::uint64_t>(15));
+  EXPECT_EQ(t.eviction_counts().ttl_expiries, 8u);
+  EXPECT_EQ(t.eviction_counts().lru_evictions, 0u);
+  consistent();
 }
 
 // --- the chm baseline wrapper: same semantics where the surface overlaps ---
