@@ -26,8 +26,8 @@ int main() {
   cachetrie::harness::BenchReport report{"fig09_footprint"};
   // Footprints are exact single measurements (byte counts), not timings:
   // the Summary carries bytes in mean_ms with zero spread, and the cell's
-  // params mark the unit so perf_gate.py and plotting scripts don't treat
-  // them as milliseconds.
+  // params mark the unit so plotting scripts don't treat them as
+  // milliseconds.
   auto bytes_summary = [](double bytes) {
     cachetrie::harness::Summary s;
     s.mean_ms = bytes;

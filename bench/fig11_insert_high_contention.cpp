@@ -6,9 +6,9 @@
 // at 200k/600k they are 10-30% slower (more slow-path restarts under
 // contention). Skip lists and ctries trail both.
 //
-// NOTE (single-core containers): with one hardware thread this measures
-// contention overhead under preemptive interleaving, not parallel speedup;
-// the relative ordering of structures is still informative.
+// NOTE: threads beyond the host's core count (`nproc`) measure contention
+// overhead under preemptive interleaving, not parallel speedup; the
+// relative ordering of structures is still informative there.
 #include "common.hpp"
 
 namespace {

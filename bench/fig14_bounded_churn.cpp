@@ -3,23 +3,19 @@
 //
 //   * working-set churn: four writers stream ~10x the ceiling's worth of
 //     fresh keys through a 1 MiB-ceiling cache while the main thread samples
-//     the resident-bytes high-water mark. The bench HARD-FAILS (exit 1) if
-//     the high-water mark escapes ceiling + 50% slack — the slack covers
-//     per-writer overshoot between the publish that crosses the ceiling and
-//     the backpressure scan it triggers, not reclamation limbo (resident
-//     bytes are published-minus-retired, so limbo never counts).
+//     the resident-bytes high-water mark. tests/bounded_churn_test.cpp
+//     asserts that the mark stays under ceiling + 50% slack; this figure
+//     reports it.
 //   * zipfian hit-rate: a skewed (s=1.0) read-mostly cache workload over a
 //     keyspace ~4x what fits under the ceiling; the miss rate measures how
 //     well lazy clock-hand eviction approximates LRU (an ideal top-k cache
 //     of equal capacity would miss ~12%).
 //
 // Both run for the trie (exact double-entry byte ledger) and the CHM
-// baseline (derived footprint estimate). Like perf_smoke, sizes are fixed —
-// REPRO_SCALE is ignored so BENCH_fig14_bounded_churn.json stays comparable
-// across runs and scripts/perf_gate.py can diff it against the committed
-// baseline. Byte and rate cells carry a unit param (exact counts: relative
-// budget, no stddev allowance); the churn/zipf wall-clock cells are normal
-// timing cells.
+// baseline (derived footprint estimate). Sizes are fixed — REPRO_SCALE is
+// ignored so BENCH_fig14_bounded_churn.json stays comparable across runs.
+// Byte and rate cells carry a unit param; the churn/zipf wall-clock cells
+// are normal timing cells.
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -37,7 +33,6 @@ using BoundedTrie = cachetrie::evict::BoundedCacheTrie<bench::Key, bench::Val>;
 using BoundedChm = cachetrie::evict::BoundedChm<bench::Key, bench::Val>;
 
 constexpr std::size_t kCeiling = 1u << 20;        // 1 MiB byte ceiling
-constexpr std::size_t kSlack = kCeiling / 2;      // in-flight overshoot slack
 constexpr std::size_t kChurnThreads = 4;
 constexpr std::size_t kKeysPerThread = 50000;     // 200k keys ~ 11 MiB of pairs
 constexpr std::size_t kChurnKeys = kChurnThreads * kKeysPerThread;
@@ -76,7 +71,6 @@ struct ChurnStats {
   std::size_t hwm = 0;             // max over warmup + measured reps
   std::size_t final_resident = 0;  // after the last rep's stream
   std::uint64_t evictions = 0;
-  std::uint64_t scans = 0;
 };
 
 /// One full churn pass: kChurnThreads writers each stream kKeysPerThread
@@ -109,7 +103,6 @@ Summary run_churn(MakeMap&& make, ChurnStats& stats) {
         stats.final_resident = map.resident_bytes();
         const auto counts = map.eviction_counts();
         stats.evictions = counts.lru_evictions;
-        stats.scans = counts.backpressure_scans;
         return ms;
       },
       fig14_options());
@@ -188,14 +181,13 @@ int main() {
   bench::print_preamble(
       "Figure 14: bounded-memory mode — churn ceiling + zipf hit rate",
       "1 MiB-ceiling caches under (a) a 10x-ceiling fresh-key churn stream\n"
-      "(4 writers; resident high-water mark must hold under ceiling+slack)\n"
+      "(4 writers; resident high-water mark vs ceiling+slack)\n"
       "and (b) a single-threaded zipf(1.0) lookup/insert-on-miss workload\n"
       "(miss rate measures the lazy eviction's LRU fidelity). Fixed sizes;\n"
       "REPRO_SCALE is ignored so artifacts stay comparable.");
 
   cachetrie::harness::BenchReport report{"fig14_bounded_churn"};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
-  bool ceiling_held = true;
 
   Table table{{"structure", "churn (ms)", "resident hwm", "final", "evicted",
                "zipf (ms)", "miss %"}};
@@ -235,16 +227,6 @@ int main() {
          std::to_string(churn.evictions),
          Table::fmt_mean_std(zipf_ms.mean_ms, zipf_ms.stddev_ms),
          Table::fmt(zipf.miss_pct)});
-
-    if (churn.hwm > kCeiling + kSlack) {
-      ceiling_held = false;
-      std::fprintf(stderr,
-                   "FAIL [%s]: churn resident high-water %zu escaped "
-                   "ceiling %zu + slack %zu (evictions=%llu scans=%llu)\n",
-                   name, churn.hwm, kCeiling, kSlack,
-                   static_cast<unsigned long long>(churn.evictions),
-                   static_cast<unsigned long long>(churn.scans));
-    }
   };
 
   run_structure("bounded_cachetrie", [] { return BoundedTrie{bounded_config()}; });
@@ -260,9 +242,7 @@ int main() {
       "trie's final resident tracks the ceiling exactly (double-entry\n"
       "ledger), chm's is a derived estimate; zipf miss rate well under the\n"
       "%.0f%% an uncached pass would pay.\n",
-      static_cast<double>(kCeiling + kSlack) / 1e6, 100.0);
+      static_cast<double>(kCeiling + kCeiling / 2) / 1e6, 100.0);
 
-  const int report_rc = bench::finish_report(report);
-  if (!ceiling_held) return 1;  // the acceptance criterion is the ceiling
-  return report_rc;
+  return bench::finish_report(report);
 }

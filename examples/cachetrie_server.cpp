@@ -2,7 +2,8 @@
 // a shard-per-core epoll reactor (src/net/) fronting a bounded cache-trie,
 // speaking the length-prefixed binary protocol (src/net/proto.hpp) on
 // 127.0.0.1. Run it in one terminal and poke it with the built-in client
-// from another, or point bench/fig15_served_load-style load at it.
+// from another, or point an open-loop load generator (perfbench's
+// served_cache workload drives the same server in-process) at it.
 //
 //   run server:  ./build/examples/cachetrie_server [port] [shards] [ceiling_mb]
 //                    [--stats-interval <secs>]

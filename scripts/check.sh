@@ -2,9 +2,9 @@
 # check.sh — protocol lint, then build + run the fast test label under
 # four configurations (plain, AddressSanitizer+UBSan, ThreadSanitizer,
 # Release; all but ASan also run the bounded and slow labels), then a
-# perf-smoke regression gate (scripts/perf_gate.py vs the committed
-# baseline). Each configuration gets its own build tree so they never
-# fight over the CMake cache.
+# same-host performance A/B of the working tree against HEAD through the
+# repository benchmark (perfbench/). Each configuration gets its own build
+# tree so they never fight over the CMake cache.
 #
 #   scripts/check.sh        # all stages (lint plain asan tsan release perf)
 #   scripts/check.sh lint   # just one stage (lint|plain|asan|tsan|release|perf)
@@ -26,14 +26,16 @@
 # The net label (serving-layer connection-fault battery,
 # tests/net_fault_test.cpp) runs in the same two stages for the same
 # reasons: killed shard threads leak by design, and its latency/liveness
-# assertions need the machine to themselves.
+# assertions need the machine to themselves. The plain stage repeats it
+# (until-fail:3) so a flaky liveness window shows up here, not later.
 #
 # The trace label (flight recorder: tests/trace_test.cpp and the
 # chaos-perturbed tests/trace_smoke_test.cpp, which replays the stalled-
 # reader fault seed) runs in the same two stages for the same reason, with
 # $CACHETRIE_TRACE_OUT pointed into the build tree; the plain stage then
 # smoke-runs scripts/trace_summarize.py over whatever TRACE_*.json the
-# tests dumped.
+# tests dumped, and requires the tail-attribution view in the dump of
+# served traffic (TRACE_served.json, from trace_test).
 #
 # The slow label (soak_test, and lin_check_test's linearizability sweeps
 # over the cache-trie, its no-cache ablation and the deep-colliding-prefix
@@ -89,7 +91,12 @@ run_stage() {
     # servers with killed/stalled shard threads and latency assertions —
     # same two reasons as fault (leaky victims, liveness windows), so the
     # same stages and the same -j 1.
-    "${env_prefix[@]}" ctest --test-dir "$dir" -L net --output-on-failure -j 1
+    local -a net_repeat=()
+    if [ "$stage" = plain ]; then
+      net_repeat=(--repeat until-fail:3)
+    fi
+    "${env_prefix[@]}" ctest --test-dir "$dir" -L net --output-on-failure -j 1 \
+      "${net_repeat[@]}"
     echo "=== [$stage] ctest -L trace ==="
     local trace_out="$dir/trace-out"
     rm -rf "$trace_out" && mkdir -p "$trace_out"
@@ -102,69 +109,64 @@ run_stage() {
       # scrolling by as a warning.
       python3 "$repo/scripts/trace_summarize.py" --strict --top 5 \
         "$trace_out"/TRACE_*.json
-      echo "=== [$stage] fig15 phase-attribution trace smoke ==="
-      # Flip benches on in the same tree (cache update; only fig15 and its
-      # objects build), run the served-load bench with the flight recorder
-      # live, and smoke the summarizer's tail-attribution view over the
-      # dump — stdlib only, non-zero exit on a malformed dump, and the
-      # view itself must be present.
-      cmake -B "$dir" -S "$repo" -DCACHETRIE_BUILD_BENCH=ON >/dev/null
-      cmake --build "$dir" -j "$jobs" --target fig15_served_load >/dev/null
-      (cd "$dir" && env CACHETRIE_TRACE_ENABLE=1 \
-        CACHETRIE_TRACE_OUT="$trace_out" CACHETRIE_TRACE_RING=65536 \
-        ./bench/fig15_served_load >/dev/null)
+      echo "=== [$stage] served tail-attribution smoke ==="
       python3 "$repo/scripts/trace_summarize.py" --strict --top 5 \
-        "$trace_out/TRACE_fig15_served_load.json" \
-        | tee "$trace_out/fig15_phase_view.txt"
-      grep -q "tail attribution" "$trace_out/fig15_phase_view.txt" || {
-        echo "FAIL: fig15 dump produced no tail-attribution view" >&2
+        "$trace_out/TRACE_served.json" | tee "$trace_out/served_view.txt"
+      grep -q "tail attribution" "$trace_out/served_view.txt" || {
+        echo "FAIL: TRACE_served.json produced no tail-attribution view" >&2
         exit 1
       }
     fi
   fi
 }
 
-# Perf-smoke stage: build the metrics-ON bench tree, run the fixed-size
-# canary, and gate the artifact against the committed baseline. Tolerances
-# are deliberately generous (+100% and 3 sigma) — the baseline was recorded
-# on one container; this catches order-of-magnitude breakage (an accidental
-# O(n) scan on the hot path), not single-digit drift.
+# Perf stage: a same-host A/B of the working tree (NEW) against HEAD
+# (BASE, extracted with git archive) through the repository benchmark —
+# the three workloads of BENCHMARK.json, run by perfbench/run.py. Pairs
+# alternate which side runs first and share one seed; the sizes below are
+# fixed so every run of the stage measures the same thing. It fails on a
+# selftest failure, on any run with a wrong answer (run.py exits nonzero
+# without a result line), and when perfbench/compare.py finds a metric
+# worse than its BENCHMARK.json bound or refuses the pair as taken on
+# different hosts or builds. On a clean tree BASE and NEW are the same
+# code, so the stage measures its own noise.
 run_perf() {
   local dir="$repo/build-check-perf"
-  echo "=== [perf] configure + build perf_smoke (metrics ON) ==="
-  cmake -B "$dir" -S "$repo" -DCACHETRIE_BUILD_TESTS=OFF \
-    -DCACHETRIE_BUILD_EXAMPLES=OFF -DCACHETRIE_BUILD_BENCH=ON \
-    -DCACHETRIE_METRICS=ON >/dev/null
-  cmake --build "$dir" -j "$jobs" --target perf_smoke \
-    --target fig14_bounded_churn --target fig15_served_load >/dev/null
-  echo "=== [perf] run perf_smoke ==="
-  (cd "$dir" && ./bench/perf_smoke)
-  echo "=== [perf] gate vs committed baseline ==="
-  python3 "$repo/scripts/perf_gate.py" \
-    "$repo/bench/BENCH_smoke.baseline.json" "$dir/BENCH_smoke.json" \
-    --tolerance 1.0 --min-ms 0.5 --noise-stddevs 3
-  # Bounded-mode churn/zipf canary: the binary itself hard-fails if the
-  # resident high-water mark escapes the byte ceiling (+ overshoot slack);
-  # the gate then watches the footprint/miss-rate/timing cells for drift.
-  echo "=== [perf] run fig14_bounded_churn ==="
-  (cd "$dir" && ./bench/fig14_bounded_churn)
-  echo "=== [perf] gate fig14 vs committed baseline ==="
-  python3 "$repo/scripts/perf_gate.py" \
-    "$repo/bench/BENCH_fig14_bounded_churn.baseline.json" \
-    "$dir/BENCH_fig14_bounded_churn.json" \
-    --tolerance 1.0 --min-ms 0.5 --noise-stddevs 3
-  # Serving-layer canary: the binary hard-fails on the robustness
-  # invariants themselves (shard death, protocol errors, a write-buffer
-  # escape); the gate watches the open-loop tail cells for drift. Wider
-  # tolerance than the in-process gates — these tails cross the kernel
-  # socket path and a scheduler shared with the load generator.
-  echo "=== [perf] run fig15_served_load ==="
-  (cd "$dir" && ./bench/fig15_served_load)
-  echo "=== [perf] gate fig15 vs committed baseline ==="
-  python3 "$repo/scripts/perf_gate.py" \
-    "$repo/bench/BENCH_fig15_served_load.baseline.json" \
-    "$dir/BENCH_fig15_served_load.json" \
-    --tolerance 3.0 --min-ms 0.5 --noise-stddevs 4
+  local pairs=5 seconds=2
+  local -a workloads=(embedded_read embedded_churn served_cache)
+  echo "=== [perf] perfbench selftest ==="
+  (cd "$repo" && python3 perfbench/run.py --selftest)
+  echo "=== [perf] extract HEAD into $dir/base ==="
+  rm -rf "$dir" && mkdir -p "$dir/base" "$dir/results/base" "$dir/results/new"
+  git -C "$repo" archive HEAD | tar -x -C "$dir/base"
+  local pair w side root log
+  for pair in $(seq 1 "$pairs"); do
+    local -a order=(base new)
+    if [ $((pair % 2)) -eq 0 ]; then order=(new base); fi
+    for w in "${workloads[@]}"; do
+      for side in "${order[@]}"; do
+        root="$repo"
+        if [ "$side" = base ]; then root="$dir/base"; fi
+        log="$dir/results/$side/$w-seed$pair.log"
+        echo "=== [perf] pair $pair/$pairs $w $side ==="
+        if ! (cd "$root" && python3 perfbench/run.py --workload "$w" \
+              --seed "$pair" --seconds "$seconds" --trace 0) >"$log" 2>&1 ||
+           ! tail -n 1 "$log" | grep -q '"correct": true'; then
+          cat "$log" >&2
+          echo "FAIL: $side $w seed $pair reported no correct result" >&2
+          exit 1
+        fi
+        cp "$root/.bench_build/perfbench/results/$w-seed$pair-trace0.json" \
+          "$dir/results/$side/"
+      done
+    done
+  done
+  echo "=== [perf] compare BASE (HEAD) vs NEW (working tree) ==="
+  python3 "$repo/perfbench/compare.py" "$dir/results/base" \
+    "$dir/results/new" || {
+    echo "FAIL: perfbench/compare.py reports a regression or refused the pair" >&2
+    exit 1
+  }
 }
 
 # Lint stage: no build tree needed — runs the static protocol checks

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """protocol_lint.py -- static analysis of the repo's memory-ordering and
-reclamation contracts (stdlib only, like perf_gate.py / trace_summarize.py).
+reclamation contracts (stdlib only, like trace_summarize.py).
 
 The paper's correctness argument rests on a handful of ordering and
 reclamation invariants (freeze-before-copy publication, txn-word CAS edges,

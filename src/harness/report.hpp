@@ -2,8 +2,9 @@
 //
 // Every bench binary prints its human tables as before, and *additionally*
 // serializes the same cells into a JSON artifact ("cachetrie-bench-v1")
-// so results are diffable by scripts/perf_gate.py and tables in
-// EXPERIMENTS.md can be regenerated instead of hand-transcribed.
+// so tables in EXPERIMENTS.md can be regenerated instead of
+// hand-transcribed. These figure artifacts are not gated; performance is
+// gated by the same-host A/B of perfbench/ (scripts/check.sh perf).
 //
 // Schema (one object per file):
 //   {
@@ -39,7 +40,7 @@ namespace cachetrie::harness {
 
 /// Ordered key/value parameters identifying one benchmark cell (sizes,
 /// thread counts, operation mix, ...). Values are strings so the schema
-/// stays uniform; perf_gate.py keys cells on (structure, params).
+/// stays uniform; a cell is identified by (structure, params).
 using BenchParams = std::vector<std::pair<std::string, std::string>>;
 
 class BenchReport {
@@ -57,8 +58,8 @@ class BenchReport {
   /// Adds four percentile cells (p50/p90/p99/p999) for one latency-measured
   /// cell. Values are *nanoseconds* carried in the schema's mean_ms/
   /// stddev_ms/min_ms/max_ms fields; the params gain {"stat":"pXX"} and
-  /// {"unit":"ns"} so consumers (perf_gate.py, table generators) can tell
-  /// them from wall-clock timing cells.
+  /// {"unit":"ns"} so consumers (table generators) can tell them from
+  /// wall-clock timing cells.
   void add_latency(const std::string& structure, const BenchParams& params,
                    const LatencySummary& ls) {
     const std::pair<const char*, const LatencyQuantile*> quantiles[] = {

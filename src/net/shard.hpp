@@ -63,8 +63,8 @@
 
 namespace cachetrie::net {
 
-/// Per-shard robustness knobs. The defaults suit the loopback tests; the
-/// server binary and fig15 override them per scenario.
+/// Per-shard robustness knobs. The defaults suit the loopback tests and
+/// perfbench's served_cache workload; the server binary overrides them.
 struct ShardConfig {
   std::size_t max_inflight = 256;        // pending-queue admission cap
   std::uint64_t max_queue_age_us = 50'000;   // shed when the head is older
@@ -106,7 +106,8 @@ struct ShardStats {
 /// introspection build), flush (reply enqueued -> last byte accepted by
 /// the kernel) — and every stamp reuses a clock value the serving path
 /// already reads, so queue + execute + flush == total per request by
-/// construction (fig15 asserts the histogram-level version of this).
+/// construction (net_proto_test asserts it exactly, over the histogram
+/// sums).
 /// Plain histograms: written by the shard thread alone, read after the
 /// NET_DRAIN join edge.
 struct PhaseLatency {

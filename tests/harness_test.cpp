@@ -29,8 +29,8 @@ TEST(Stats, RunningStatsBasics) {
 TEST(Stats, StddevIsSampleNotPopulation) {
   // Regression lock: variance() must divide by n-1 (Bessel-corrected
   // sample variance), not n. Bench reps are a sample of the run-time
-  // distribution, and perf_gate.py's noise allowance is calibrated for
-  // the sample estimator. {1, 5}: sample variance 8 (stddev 2*sqrt(2)),
+  // distribution, so the stddev the figure artifacts report is the
+  // sample estimator. {1, 5}: sample variance 8 (stddev 2*sqrt(2)),
   // population variance would be 4 (stddev 2).
   RunningStats rs;
   rs.add(1.0);

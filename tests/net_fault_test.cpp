@@ -25,7 +25,8 @@
 //     not drop it silently;
 //   * overload: 2x open-loop burst pressure with a 25% slow-client mix
 //     sheds rather than queues — accepted-request p99 stays within 5x the
-//     unloaded p99 (floored against scheduler noise on the 1-core CI box).
+//     unloaded p99 (floored against scheduler noise: the server, the
+//     clients and the slow writers outnumber the cores of a small host).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -415,9 +416,9 @@ TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
 
 // The acceptance criterion: ~2x open-loop burst overload with a 25%
 // slow-client mix sheds rather than queues. Accepted-request p99 stays
-// within 5x the unloaded p99 (floored — on the 1-core CI box, scheduler
-// quanta dwarf an unloaded loopback ping), reply bytes stay under the cap,
-// and the map survives validation.
+// within 5x the unloaded p99 (floored — once the test's threads outnumber
+// the cores, scheduler quanta dwarf an unloaded loopback ping), reply bytes
+// stay under the cap, and the map survives validation.
 TEST(NetFault, OverloadShedsRatherThanQueues) {
   BoundedTrie map{{}};
   auto scfg = one_shard_config();
@@ -519,7 +520,8 @@ TEST(NetFault, OverloadShedsRatherThanQueues) {
   EXPECT_EQ(other.load(), 0u);
 
   // Accepted-request tail: within 5x unloaded p99, floored at 5 ms against
-  // 1-core scheduler noise (a single quantum is 4 ms).
+  // scheduler noise: the test runs more threads than a small host has
+  // cores, so a thread can wait out a whole quantum (4 ms) for a CPU.
   const std::uint64_t floor_us = 5'000;
   EXPECT_LE(p99_loaded, 5 * std::max(p99_unloaded, floor_us))
       << "p99 accepted " << p99_loaded << "us vs unloaded " << p99_unloaded

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,6 +462,56 @@ TEST(NetServe, ConcurrentClients) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(map.size(), kThreads * kOps);
   EXPECT_TRUE(map.underlying().debug_validate().empty());
+}
+
+// The phase decomposition is exact per request: stamp_flushed takes one
+// clock read for flush and total, and queue/execute reuse the admit,
+// dequeue and reply-enqueue reads, so queue + execute + flush == total
+// holds for every served request and therefore for the histogram sums.
+// Pipelined requests on two connections keep several replies per flush;
+// both together stay under the shard's admission cap, so none is shed.
+TEST(NetServe, PhaseSumsMatchTotalExactly) {
+  BoundedTrie map{{}};
+  net::ServerConfig scfg;
+  scfg.shards = 2;
+  net::Server<BoundedTrie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+
+  constexpr std::size_t kConns = 2;
+  constexpr std::uint64_t kPipelined = 100;
+  {
+    std::vector<std::unique_ptr<net::Client>> clients;
+    for (std::size_t c = 0; c < kConns; ++c) {
+      clients.push_back(std::make_unique<net::Client>(server.port()));
+      ASSERT_TRUE(clients.back()->ok());
+    }
+    std::vector<std::vector<std::uint64_t>> ids(kConns);
+    for (std::uint64_t i = 0; i < kPipelined; ++i) {
+      for (std::size_t c = 0; c < kConns; ++c) {
+        std::uint64_t id = 0;
+        const auto op = i % 2 == 0 ? proto::Op::kPut : proto::Op::kGet;
+        ASSERT_TRUE(clients[c]->send(op, (c << 20) | (i / 2), i, &id, 0));
+        ids[c].push_back(id);
+      }
+    }
+    for (std::size_t c = 0; c < kConns; ++c) {
+      for (const std::uint64_t id : ids[c]) {
+        EXPECT_TRUE(clients[c]->wait(id).ok());
+      }
+    }
+  }
+  server.stop();
+
+  const net::PhaseLatency ph = server.phase_latency();
+  EXPECT_EQ(ph.total.count(), kConns * kPipelined);
+  EXPECT_EQ(ph.queue.count(), ph.total.count());
+  EXPECT_EQ(ph.execute.count(), ph.total.count());
+  EXPECT_EQ(ph.flush.count(), ph.total.count());
+  EXPECT_EQ(ph.queue.sum() + ph.execute.sum() + ph.flush.sum(),
+            ph.total.sum());
+  EXPECT_EQ(server.totals().proto_errors, 0u);
+  EXPECT_EQ(server.killed_shards(), 0u);
 }
 
 }  // namespace

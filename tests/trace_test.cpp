@@ -1,8 +1,10 @@
 // trace_test.cpp — unit tests of the obs/trace flight recorder: ring
 // wrap/overwrite semantics, per-slot seqlock validation under a concurrent
 // drain, TSC calibration sanity, the Chrome-trace exporter's unmatched-end
-// demotion, and the static zero-size guarantee the OFF configuration
-// relies on (mirroring metrics_test.cpp's Null* checks).
+// demotion, the static zero-size guarantee the OFF configuration relies
+// on (mirroring metrics_test.cpp's Null* checks), and the per-request
+// phase stamps of served traffic, dumped as TRACE_served.json for
+// check.sh's tail-attribution smoke.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -10,14 +12,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "cachetrie/evict.hpp"
+#include "net/client.hpp"
+#include "net/reactor.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tsc.hpp"
 #include "util/thread_id.hpp"
@@ -343,6 +351,68 @@ TEST_F(TraceTest, PostMortemDumpIsOncePerProcess) {
   if (preset == nullptr) unsetenv("CACHETRIE_TRACE_OUT");
   EXPECT_FALSE(first.empty());
   EXPECT_TRUE(second.empty()) << "post-mortem dump must be first-wins";
+}
+
+// Served traffic with the recorder on: every request id carries the whole
+// net.req.* lifecycle (parsed, admitted, dequeued, execute B/E, flushed)
+// on the shard's ring, and the dump is what check.sh's plain stage feeds
+// to trace_summarize.py's tail-attribution view. 200 requests stay well
+// inside one 4096-event ring, so nothing is overwritten.
+TEST_F(TraceTest, ServedRequestsCarryPhaseStampsAndDump) {
+  using BoundedTrie =
+      cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+  namespace net = cachetrie::net;
+  constexpr std::uint64_t kRequests = 200;
+
+  BoundedTrie map{{}};
+  net::Server<BoundedTrie> server{map, {}};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  std::set<std::uint64_t> sent;
+  {
+    net::Client client{server.port()};
+    ASSERT_TRUE(client.ok());
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      std::uint64_t id = 0;
+      const auto op = i % 4 == 0 ? net::proto::Op::kPut : net::proto::Op::kGet;
+      ASSERT_TRUE(client.send(op, i % 64, i, &id, 0));
+      ids.push_back(id);
+    }
+    for (const std::uint64_t id : ids) {
+      const auto r = client.wait(id);
+      ASSERT_TRUE(r.status == net::proto::Status::kOk ||
+                  r.status == net::proto::Status::kNotFound)
+          << net::proto::status_name(r.status);
+      sent.insert(id);
+    }
+  }
+  server.stop();  // joins the shards: every flushed stamp is on a ring
+
+  // Request ids seen per lifecycle event ('B'/'E' split the execute span).
+  std::map<std::string, std::set<std::uint64_t>> seen;
+  for (const auto& ev : trace::registry().drain()) {
+    const auto& info = trace::event_info(ev.id);
+    const std::string name = info.name;
+    if (name.rfind("net.req.", 0) != 0) continue;
+    seen[name + (info.phase == 'i' ? "" : std::string{" "} + info.phase)]
+        .insert(ev.a1);
+  }
+  for (const char* name :
+       {"net.req.parsed", "net.req.admitted", "net.req.dequeued",
+        "net.req.execute B", "net.req.execute E", "net.req.flushed"}) {
+    EXPECT_EQ(seen[name], sent) << name;
+  }
+  EXPECT_EQ(trace::registry().total_overwritten(), 0u);
+
+  const char* preset = std::getenv("CACHETRIE_TRACE_OUT");
+  if (preset == nullptr) {
+    ASSERT_EQ(setenv("CACHETRIE_TRACE_OUT", ::testing::TempDir().c_str(), 1),
+              0);
+  }
+  const std::string path = trace::dump_to_file("served");
+  if (preset == nullptr) unsetenv("CACHETRIE_TRACE_OUT");
+  EXPECT_NE(path.find("TRACE_served.json"), std::string::npos) << path;
 }
 
 }  // namespace
