@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# check.sh — protocol lint, then build + run the fast test label under
-# four configurations (plain, AddressSanitizer+UBSan, ThreadSanitizer,
-# Release; all but ASan also run the bounded and slow labels), then a
+# check.sh — protocol lint, then build + run the fast and bounded test
+# labels under four configurations (plain, AddressSanitizer+UBSan,
+# ThreadSanitizer, Release; all but ASan also run the slow label), then a
 # same-host performance A/B of the working tree against HEAD through the
 # repository benchmark (perfbench/). Each configuration gets its own build
 # tree so they never fight over the CMake cache.
@@ -37,6 +37,13 @@
 # tests dumped, and requires the tail-attribution view in the dump of
 # served traffic (TRACE_served.json, from trace_test).
 #
+# The bounded label (the bounded-memory mode's lin-check battery and its
+# ceiling churn test) runs in every build stage. Its sweep is the only
+# concurrent one over BoundedCacheTrie's stamped leaves, so ASan runs it
+# too, to check their sizes and the retire paths' size hints (the full
+# sweep takes about 25 s there on 4 vCPUs); TSan takes a shorter lin-check
+# sweep per seed (CACHETRIE_BOUNDED_LIN_HISTORIES).
+#
 # The slow label (soak_test, and lin_check_test's linearizability sweeps
 # over the cache-trie, its no-cache ablation and the deep-colliding-prefix
 # variant) runs in the plain, tsan and release stages: it exercises the
@@ -65,18 +72,18 @@ run_stage() {
     env_prefix=(env TSAN_OPTIONS="suppressions=$repo/scripts/tsan.supp history_size=7")
   fi
   "${env_prefix[@]}" ctest --test-dir "$dir" -L fast --output-on-failure -j "$jobs"
+  echo "=== [$stage] ctest -L bounded ==="
+  # Bounded-memory mode lin-check battery. Every stage but tsan runs the
+  # full 8-seed x 1250-history sweep; tsan gets a shorter sweep per seed
+  # (the instrumented build is ~20x slower and the schedules it explores
+  # are already radically different).
+  local -a bounded_env=()
+  if [ "$stage" = tsan ]; then
+    bounded_env=(env CACHETRIE_BOUNDED_LIN_HISTORIES=150)
+  fi
+  "${env_prefix[@]}" "${bounded_env[@]}" \
+    ctest --test-dir "$dir" -L bounded --output-on-failure -j 1
   if [ "$stage" = plain ] || [ "$stage" = tsan ] || [ "$stage" = release ]; then
-    echo "=== [$stage] ctest -L bounded ==="
-    # Bounded-memory mode lin-check battery. The plain stage runs the full
-    # 8-seed x 1250-history sweep; tsan gets a shorter sweep per seed (the
-    # instrumented build is ~20x slower and the schedules it explores are
-    # already radically different).
-    local -a bounded_env=()
-    if [ "$stage" = tsan ]; then
-      bounded_env=(env CACHETRIE_BOUNDED_LIN_HISTORIES=150)
-    fi
-    "${env_prefix[@]}" "${bounded_env[@]}" \
-      ctest --test-dir "$dir" -L bounded --output-on-failure -j 1
     echo "=== [$stage] ctest -L slow ==="
     "${env_prefix[@]}" ctest --test-dir "$dir" -L slow --output-on-failure \
       -j "$jobs"

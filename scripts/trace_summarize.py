@@ -214,12 +214,15 @@ PHASE_EVENTS = frozenset({
 })
 
 
-def phase_view(events, spans, top):
-    """Tail attribution: for the slowest decile of net.request spans, which
-    phase — queue (admitted->dequeued), execute (execute B->E), or flush
-    (execute E->flushed) — dominated the request. Stamps join per request
-    on (a0=conn id, a1=request id). Prints nothing when the dump carries no
-    phase stamps (pre-PR-9 dumps, or non-serving workloads)."""
+def phase_view(events, top):
+    """Tail attribution: for the slowest decile of requests by server-side
+    client-visible time (admitted -> flushed, queue wait included), which
+    phase — queue (admitted -> execute B), execute (execute B -> E), or
+    flush (execute E -> flushed) — dominated the request. The three phases
+    partition the ranked duration exactly, as the shard's own phase
+    histograms do. Stamps join per request on (a0=conn id, a1=request id).
+    Prints nothing when the dump carries no phase stamps (older dumps,
+    or non-serving workloads)."""
     stamps = {}
     for ev in events:
         name = ev.get("name")
@@ -233,30 +236,25 @@ def phase_view(events, spans, top):
             rec["exec_b" if ev.get("ph") == "B" else "exec_e"] = ev.get("ts", 0)
         else:
             rec[name.rsplit(".", 1)[-1]] = ev.get("ts", 0)
-    if not stamps:
-        return
 
-    reqs = []
-    for dur, name, _tid, _start, args in spans:
-        if name != "net.request" or "a0" not in args or "a1" not in args:
-            continue
-        reqs.append((dur, (args["a0"], args["a1"])))
+    reqs = [(rec["flushed"] - rec["admitted"], key)
+            for key, rec in stamps.items()
+            if "admitted" in rec and "flushed" in rec]
     if not reqs:
         return
     reqs.sort(key=lambda s: -s[0])
     slow = reqs[:max(1, len(reqs) // 10)]
 
-    needed = {"admitted", "dequeued", "exec_b", "exec_e", "flushed"}
     rows = []
     dominated = {"queue": 0, "execute": 0, "flush": 0}
     skipped = 0
     for dur, key in slow:
-        rec = stamps.get(key)
-        if rec is None or not needed <= rec.keys():
-            skipped += 1  # some stamps scrolled out of the ring
+        rec = stamps[key]
+        if "exec_b" not in rec or "exec_e" not in rec:
+            skipped += 1  # not executed (deadline), or stamps scrolled out
             continue
         phases = {
-            "queue": rec["dequeued"] - rec["admitted"],
+            "queue": rec["exec_b"] - rec["admitted"],
             "execute": rec["exec_e"] - rec["exec_b"],
             "flush": rec["flushed"] - rec["exec_e"],
         }
@@ -264,9 +262,9 @@ def phase_view(events, spans, top):
         dominated[dom] += 1
         rows.append((dur, key, phases, dom))
 
-    print(f"  tail attribution (slowest decile: {len(slow)} of {len(reqs)} "
-          f"net.request spans"
-          + (f", {skipped} without full stamps" if skipped else "") + "):")
+    print(f"  tail attribution (slowest decile by admitted->flushed time, "
+          f"queue wait included: {len(slow)} of {len(reqs)} requests"
+          + (f", {skipped} without execute stamps" if skipped else "") + "):")
     if not rows:
         print("    no slow-decile request carries a full stamp set "
               "(ring overwrite?)")
@@ -330,7 +328,7 @@ def summarize(path, top):
               (f" ({open_spans} still open)" if open_spans else ""))
 
     connection_view(events, spans, top)
-    phase_view(events, spans, top)
+    phase_view(events, top)
     return len(unknown)
 
 

@@ -78,8 +78,53 @@ struct LevelHistogram {
   }
 };
 
+/// One operation's eviction horizons (DESIGN.md §3), made by the trie's
+/// policy at each public entry point and threaded through the descent. A
+/// plain trie's are all zero, and no stamp is below a zero floor.
+struct Horizon {
+  std::uint64_t now = 0;        // current tick; doubles as creation stamp
+  std::uint64_t ttl_floor = 0;  // stamp < ttl_floor => semantically absent
+  std::uint64_t lru_floor = 0;  // stamp < lru_floor => evictable (pressure)
+
+  bool expired(std::uint64_t stamp) const noexcept {
+    return stamp < ttl_floor;
+  }
+  bool evictable(std::uint64_t stamp) const noexcept {
+    return stamp < ttl_floor || stamp < lru_floor;
+  }
+};
+
+struct EvictionCounts {
+  std::uint64_t lru_evictions = 0;
+  std::uint64_t ttl_expiries = 0;
+  std::uint64_t backpressure_scans = 0;
+};
+
+/// The plain trie's policy: no leaf stamp, zero horizons, and no ledger,
+/// counters or backpressure, so all of it compiles away.
+/// evict::BoundedPolicy (evict.hpp) is the bounded mode's, with the same
+/// members.
+struct UnboundedPolicy {
+  using Stamp = detail::NoStamp;
+  struct Settings {};
+  /// Whether the trie measures what each publish adds to resident_bytes().
+  static constexpr bool kLedger = false;
+
+  explicit UnboundedPolicy(const Settings& = {}) noexcept {}
+
+  static Horizon make_horizon() noexcept { return {}; }
+  static std::uint64_t now_tick() noexcept { return 0; }
+  static void account(std::ptrdiff_t) noexcept {}
+  static std::size_t resident_bytes() noexcept { return 0; }
+  static void count_eviction(bool) noexcept {}
+  static EvictionCounts eviction_counts() noexcept { return {}; }
+  template <typename EvictPath>
+  static void backpressure(Horizon&, EvictPath&&) noexcept {}
+};
+
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
-          typename Reclaimer = mr::EpochReclaimer>
+          typename Reclaimer = mr::EpochReclaimer,
+          typename Policy = UnboundedPolicy>
 class CacheTrie {
   using NodeBase = detail::NodeBase;
   using Kind = detail::Kind;
@@ -87,16 +132,16 @@ class CacheTrie {
   using ANode = detail::ANode;
   using ENode = detail::ENode;
   using FNode = detail::FNode;
-  using SNodeT = detail::SNode<K, V>;
-  using LNodeT = detail::LNode<K, V>;
+  using SNodeT = detail::SNode<K, V, typename Policy::Stamp>;
+  using LNodeT = detail::LNode<K, V, typename Policy::Stamp>;
   using CacheArray = detail::CacheArray;
 
  public:
-  explicit CacheTrie(Config config = {})
-      : config_(config),
-        bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0) {
+  explicit CacheTrie(Config config = {},
+                     const typename Policy::Settings& settings = {})
+      : config_(config), policy_(settings) {
     root_ = ANode::make(16);
-    account(static_cast<std::ptrdiff_t>(ANode::alloc_size(16)));
+    policy_.account(static_cast<std::ptrdiff_t>(ANode::alloc_size(16)));
   }
 
   CacheTrie(const CacheTrie&) = delete;
@@ -109,13 +154,6 @@ class CacheTrie {
       CacheArray* parent = c->parent;
       CacheArray::destroy(c);
       c = parent;
-    }
-    // Whatever this trie still counted as resident leaves the process-wide
-    // gauge with it.
-    if (config_.resident_gauge != nullptr) {
-      config_.resident_gauge->fetch_sub(
-          resident_bytes_.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
     }
   }
 
@@ -151,7 +189,7 @@ class CacheTrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("cachetrie.pinned");
     const std::uint64_t h = hasher_(key);
-    const Horizon hz = make_horizon();
+    const Horizon hz = policy_.make_horizon();
     CacheArray* cache = config_.use_cache
                             ? cache_head_.load(std::memory_order_acquire)
                             : nullptr;
@@ -180,12 +218,10 @@ class CacheTrie {
             obs::sites::cachetrie_lookup_depth.record(1);
           }
           if (sn->hash == h && sn->key == key) {
-            if (bounded_) {
-              if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
-                return std::nullopt;
-              }
-              sn->stamp.store(hz.now, std::memory_order_relaxed);
+            if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
+              return std::nullopt;
             }
+            sn->stamp.store(hz.now, std::memory_order_relaxed);
             return sn->value;
           }
           return std::nullopt;
@@ -262,7 +298,7 @@ class CacheTrie {
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    const Horizon hz = make_horizon();
+    const Horizon hz = policy_.make_horizon();
     walk(root_, 0, [&](const NodeBase* n, std::uint32_t) {
       if (n->kind == Kind::kSNode) {
         auto* sn = static_cast<const SNodeT*>(n);
@@ -271,7 +307,9 @@ class CacheTrie {
         }
       } else if (n->kind == Kind::kLNode) {
         auto* l = static_cast<const LNodeT*>(n);
-        if (!hz.expired(l->stamp)) fn(l->key, l->value);
+        if (!hz.expired(l->stamp.load(std::memory_order_relaxed))) {
+          fn(l->key, l->value);
+        }
       }
     });
   }
@@ -313,37 +351,22 @@ class CacheTrie {
   const Stats& stats() const noexcept { return stats_; }
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
+  // The policy keeps the clock, the resident ledger and the eviction
+  // counters; a plain trie's read 0.
 
-  /// True when this trie enforces a byte ceiling and/or TTL.
-  bool bounded() const noexcept { return bounded_; }
+  const Policy& policy() const noexcept { return policy_; }
 
   /// Current eviction-clock tick, without advancing the logical clock.
-  std::uint64_t now_tick() const noexcept {
-    if (!bounded_) return 0;
-    return config_.tick_fn != nullptr
-               ? config_.tick_fn()
-               : op_tick_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t now_tick() const noexcept { return policy_.now_tick(); }
 
   /// Observed resident footprint: bytes published into the trie minus bytes
-  /// retired out of it — exact double-entry accounting at the protocol's
-  /// publish/retire choke points, excluding bytes parked in reclaimer limbo
-  /// (EpochDomain::retired_bytes() tracks those). Always 0 when unbounded.
+  /// retired out of it (see evict::BoundedPolicy).
   std::size_t resident_bytes() const noexcept {
-    const std::int64_t b = resident_bytes_.load(std::memory_order_relaxed);
-    return b > 0 ? static_cast<std::size_t>(b) : 0;
+    return policy_.resident_bytes();
   }
 
-  struct EvictionCounts {
-    std::uint64_t lru_evictions = 0;
-    std::uint64_t ttl_expiries = 0;
-    std::uint64_t backpressure_scans = 0;
-  };
-
   EvictionCounts eviction_counts() const noexcept {
-    return {lru_evictions_.load(std::memory_order_relaxed),
-            ttl_expiries_.load(std::memory_order_relaxed),
-            backpressure_scans_.load(std::memory_order_relaxed)};
+    return policy_.eviction_counts();
   }
 
   /// Forcibly removes the pair through the eviction path. The removal is a
@@ -394,63 +417,28 @@ class CacheTrie {
 
   // --- bounded-memory mode machinery (DESIGN.md §3) -------------------------
 
-  /// Per-operation eviction horizons, computed once at each public entry
-  /// point and threaded through the descent. Inert (all zero) when the trie
-  /// is unbounded: no stamp is ever below a zero floor, so every check falls
-  /// through at the cost of one predictable compare.
-  struct Horizon {
-    std::uint64_t now = 0;        // current tick; doubles as creation stamp
-    std::uint64_t ttl_floor = 0;  // stamp < ttl_floor => semantically absent
-    std::uint64_t lru_floor = 0;  // stamp < lru_floor => evictable (pressure)
-
-    bool expired(std::uint64_t stamp) const noexcept {
-      return stamp < ttl_floor;
-    }
-    bool evictable(std::uint64_t stamp) const noexcept {
-      return stamp < ttl_floor || stamp < lru_floor;
-    }
-  };
-
-  /// Computes this operation's horizons, advancing the logical clock by one
-  /// tick — unless an injectable clock owns time (then tests drive it).
-  Horizon make_horizon() const {
-    Horizon hz;
-    if (!bounded_) return hz;
-    hz.now = config_.tick_fn != nullptr
-                 ? config_.tick_fn()
-                 : op_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (config_.ttl_ticks != 0 && hz.now > config_.ttl_ticks) {
-      hz.ttl_floor = hz.now - config_.ttl_ticks;
-    }
-    return hz;
-  }
-
-  /// Exact double-entry byte accounting: every publish-success adds the
-  /// bytes it made reachable, every retire subtracts exactly what it hands
-  /// the reclaimer. Like the stamp/tick/window words, this sum is advisory —
-  /// all accesses relaxed, no ordering contract (ordering_contracts.hpp
-  /// documents why).
-  void account(std::ptrdiff_t delta) const noexcept {
-    if (!bounded_) return;
-    resident_bytes_.fetch_add(delta, std::memory_order_relaxed);
-    if (config_.resident_gauge != nullptr) {
-      config_.resident_gauge->fetch_add(delta, std::memory_order_relaxed);
+  /// What `node`'s subtree adds to the resident ledger: its footprint, taken
+  /// only when the policy keeps a ledger.
+  std::ptrdiff_t ledger_bytes([[maybe_unused]] const NodeBase* node) const {
+    if constexpr (Policy::kLedger) {
+      return static_cast<std::ptrdiff_t>(subtree_footprint(node));
+    } else {
+      return 0;
     }
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void retire_snode(SNodeT* sn) const {
-    account(-static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
+    policy_.account(-static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
     Reclaimer::template retire<SNodeT>(sn);
   }
 
   void note_eviction(bool expiry, std::uint64_t h, std::uint32_t lev) const {
+    policy_.count_eviction(expiry);
     if (expiry) {
-      ttl_expiries_.fetch_add(1, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_ttl.add();
       obs::trace::emit(obs::trace::EventId::kCachetrieExpire, h, lev);
     } else {
-      lru_evictions_.fetch_add(1, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_lru.add();
       obs::trace::emit(obs::trace::EventId::kCachetrieEvict, h, lev);
     }
@@ -489,7 +477,7 @@ class CacheTrie {
     // The only possible slot transition was osn -> repl (helpers commit the
     // announced txn), so osn is out either way.
     clear_cache_refs(osn, osn->hash, lev + 4);
-    account(repl_bytes);
+    policy_.account(repl_bytes);
     retire_snode(osn);
     return true;
   }
@@ -510,78 +498,35 @@ class CacheTrie {
     return true;
   }
 
-  /// Ceiling enforcement. Every writer passes through here before doing its
-  /// own work, so enforcement survives any particular evictor dying: there
-  /// is no dedicated eviction thread to lose. Over the ceiling, the op runs
-  /// a bounded clock-hand scan against an adaptive idle window; the window
-  /// halves whenever a scan frees nothing and relaxes once pressure clears.
-  void maybe_backpressure(Horizon& hz) {
-    if (config_.ceiling_bytes == 0) return;
-    const std::size_t resident = resident_bytes();
-    const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
-    if (resident <= config_.ceiling_bytes) {
-      if (w < kLruIdleTicks &&
-          resident <= config_.ceiling_bytes - config_.ceiling_bytes / 4) {
-        lru_window_.store(
-            std::min<std::uint64_t>(w * 2, kLruIdleTicks),
-            std::memory_order_relaxed);
-      }
-      return;
-    }
-    backpressure_scans_.fetch_add(1, std::memory_order_relaxed);
-    obs::sites::cachetrie_evict_backpressure.add();
-    obs::trace::emit(obs::trace::EventId::kCachetrieCeilingHit, resident,
-                     config_.ceiling_bytes);
-    hz.lru_floor = hz.now > w ? hz.now - w : hz.now;
-    const std::size_t evicted = evict_scan(hz, kEvictProbes);
-    if (evicted == 0 && w > 1) {
-      lru_window_.store(w / 2, std::memory_order_relaxed);
-    }
-  }
-
-  /// The lazy clock hand (after the fwoodruff Lock-Free-Cache design: no
-  /// doubly-linked list, no dedicated thread): descend a few pseudo-random
-  /// hash paths from a roving cursor and evict any live leaf whose stamp
-  /// fell past a horizon. Each probe is an O(1)-expected descent.
+  /// One probe of the bounded policy's clock hand (evict::BoundedPolicy::
+  /// backpressure): descends hash path `h` and evicts the live leaf at its
+  /// end if its stamp fell past a horizon. Returns true iff it evicted.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  std::size_t evict_scan(const Horizon& hz, std::uint32_t probes) {
-    testkit::chaos_point("cachetrie.evict_scan");
-    std::size_t evicted = 0;
-    for (std::uint32_t p = 0; p < probes; ++p) {
-      const std::uint64_t h =
-          util::mix64(evict_cursor_.fetch_add(1, std::memory_order_relaxed));
-      ANode* cur = root_;
-      ANode* prev = nullptr;
-      std::uint32_t lev = 0;
-      while (true) {
-        auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
-        NodeBase* n = slot.load(std::memory_order_acquire);
-        if (n == nullptr || n == Sentinels::fv()) break;
-        if (n->kind == Kind::kANode) {
-          prev = cur;
-          cur = static_cast<ANode*>(n);
-          lev += 4;
-          continue;
-        }
-        if (n->kind == Kind::kSNode) {
-          auto* sn = static_cast<SNodeT*>(n);
-          if (sn->txn.load(std::memory_order_acquire) !=
-              Sentinels::no_txn()) {
-            break;
-          }
-          const std::uint64_t st = sn->stamp.load(std::memory_order_relaxed);
-          if (hz.evictable(st) &&
-              try_evict_snode(slot, sn, cur, prev, lev, hz.expired(st))) {
-            ++evicted;
-          }
-          break;
-        }
-        // Chains and in-flight announcements: skip this probe; chain
-        // corpses are pruned by the traversal rebuilds instead.
-        break;
+  bool evict_path(std::uint64_t h, const Horizon& hz) {
+    ANode* cur = root_;
+    ANode* prev = nullptr;
+    std::uint32_t lev = 0;
+    while (true) {
+      auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
+      NodeBase* n = slot.load(std::memory_order_acquire);
+      if (n == nullptr || n == Sentinels::fv()) return false;
+      if (n->kind == Kind::kANode) {
+        prev = cur;
+        cur = static_cast<ANode*>(n);
+        lev += 4;
+        continue;
       }
+      // Chains and in-flight announcements end the probe; chain corpses
+      // are pruned by the traversal rebuilds instead.
+      if (n->kind != Kind::kSNode) return false;
+      auto* sn = static_cast<SNodeT*>(n);
+      if (sn->txn.load(std::memory_order_acquire) != Sentinels::no_txn()) {
+        return false;
+      }
+      const std::uint64_t st = sn->stamp.load(std::memory_order_relaxed);
+      return hz.evictable(st) &&
+             try_evict_snode(slot, sn, cur, prev, lev, hz.expired(st));
     }
-    return evicted;
   }
 
   // --- write-path driver ---------------------------------------------------
@@ -592,8 +537,11 @@ class CacheTrie {
     // Fault site: a victim parked (or killed) here stalls inside a guard
     // with the epoch pinned — the worst case for epoch reclamation.
     testkit::chaos_point("cachetrie.pinned");
-    Horizon hz = make_horizon();
-    if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
+    Horizon hz = policy_.make_horizon();
+    // Over a ceiling, evicts idle leaves and raises hz.lru_floor.
+    policy_.backpressure(hz, [this](std::uint64_t probe, const Horizon& at) {
+      return evict_path(probe, at);
+    });
     const std::uint64_t h = hasher_(key);
     const Res r = descend(h, [&](ANode* start, std::uint32_t lev) {
       return insert_rec(key, value, h, lev, start, nullptr, mode, expected,
@@ -682,7 +630,7 @@ class CacheTrie {
         if (slot.compare_exchange_strong(expected, sn,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-          account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
+          policy_.account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
           maybe_inhabit(sn, h, lev + 4);
           return Res::kNew;
         }
@@ -748,8 +696,7 @@ class CacheTrie {
     // [acquires: CT_TXN]
     NodeBase* txn = osn->txn.load(std::memory_order_acquire);
     if (txn == Sentinels::no_txn()) {
-      const std::uint64_t ostamp =
-          bounded_ ? osn->stamp.load(std::memory_order_relaxed) : 0;
+      const std::uint64_t ostamp = osn->stamp.load(std::memory_order_relaxed);
       if (osn->hash == h && osn->key == key) {
         // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
         // and put_if_absent replace the corpse through the same txn path —
@@ -762,17 +709,10 @@ class CacheTrie {
           return Res::kNotFound;
         }
         if (!corpse) {
-          if (mode == Mode::kIfAbsent) {
-            if (bounded_) {
-              osn->stamp.store(hz.now, std::memory_order_relaxed);
-            }
-            return Res::kExists;
-          }
-          if (mode == Mode::kReplaceIfEquals &&
-              !value_equals(osn->value, *expected_value)) {
-            if (bounded_) {
-              osn->stamp.store(hz.now, std::memory_order_relaxed);
-            }
+          if (mode == Mode::kIfAbsent ||
+              (mode == Mode::kReplaceIfEquals &&
+               !value_equals(osn->value, *expected_value))) {
+            osn->stamp.store(hz.now, std::memory_order_relaxed);
             return Res::kExists;
           }
         }
@@ -791,7 +731,7 @@ class CacheTrie {
       }
       // A stale colliding pair is lazily evicted instead of growing a
       // subtree under a corpse; the caller re-reads the emptied slot.
-      if (bounded_ && hz.evictable(ostamp)) {
+      if (hz.evictable(ostamp)) {
         try_evict_snode(slot, osn, cur, prev, lev, hz.expired(ostamp));
         return Res::kRetryLevel;
       }
@@ -809,7 +749,7 @@ class CacheTrie {
         if (prev->slots()[ppos].compare_exchange_strong(
                 expected, en, std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
-          account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
+          policy_.account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
           complete_enode(en);
           // [acquires: CT_ENODE_RESULT]
           NodeBase* wide = en->result.load(std::memory_order_acquire);
@@ -832,10 +772,7 @@ class CacheTrie {
       NodeBase* subtree = create_subtree(osn, h, key, value, lev + 4, hz.now);
       // Footprint of the replacement, taken while it is still private; after
       // the txn wins, helpers may commit it and make it concurrently mutable.
-      const std::ptrdiff_t sub_bytes =
-          bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(subtree))
-                   : 0;
-      if (!commit_txn(slot, osn, subtree, sub_bytes, lev)) {
+      if (!commit_txn(slot, osn, subtree, ledger_bytes(subtree), lev)) {
         destroy_subtree(subtree);
         return Res::kRetryLevel;
       }
@@ -869,20 +806,14 @@ class CacheTrie {
       }
       SNodeT* sn = SNodeT::make(h, key, value, hz.now);
       NodeBase* subtree = branch_apart(chain, chain->hash, sn, lev + 4);
-      std::ptrdiff_t delta = 0;
-      if (bounded_) {
-        // The reused chain is already accounted; only the fresh inner path
-        // and the new pair are new bytes.
-        delta = static_cast<std::ptrdiff_t>(subtree_footprint(subtree));
-        for (LNodeT* l = chain; l != nullptr; l = l->next) {
-          delta -= static_cast<std::ptrdiff_t>(sizeof(LNodeT));
-        }
-      }
+      // The reused chain is already accounted; only the fresh inner path
+      // and the new pair are new bytes.
+      const std::ptrdiff_t delta = ledger_bytes(subtree) - ledger_bytes(chain);
       NodeBase* expected = chain;
       if (slot.compare_exchange_strong(expected, subtree,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
-        account(delta);
+        policy_.account(delta);
         return Res::kNew;
       }
       destroy_subtree(subtree, /*keep=*/chain);
@@ -916,7 +847,8 @@ class CacheTrie {
                               const K& key, const Horizon& hz) const {
     for (const LNodeT* l = chain; l != nullptr; l = l->next) {
       if (l->hash == h && l->key == key) {
-        return hz.expired(l->stamp) ? nullptr : l;
+        return hz.expired(l->stamp.load(std::memory_order_relaxed)) ? nullptr
+                                                                    : l;
       }
     }
     return nullptr;
@@ -938,7 +870,7 @@ class CacheTrie {
     std::size_t corpses = 0;
     const LNodeT* survivor = nullptr;
     for (const LNodeT* l = chain; l != nullptr; l = l->next) {
-      if (hz.expired(l->stamp)) {
+      if (hz.expired(l->stamp.load(std::memory_order_relaxed))) {
         ++corpses;
       } else if (!(l->key == key)) {
         ++kept;
@@ -949,12 +881,14 @@ class CacheTrie {
     if (kept == 1) {
       repl = add != nullptr ? SNodeT::make(h, key, *add, hz.now)
                             : SNodeT::make(h, survivor->key, survivor->value,
-                                           survivor->stamp);
+                                           survivor->stamp.load(
+                                               std::memory_order_relaxed));
     } else if (kept > 1) {
       LNodeT* fresh = nullptr;
       for (const LNodeT* l = chain; l != nullptr; l = l->next) {
-        if (hz.expired(l->stamp) || l->key == key) continue;
-        fresh = LNodeT::make(h, l->key, l->value, fresh, l->stamp);
+        const std::uint64_t st = l->stamp.load(std::memory_order_relaxed);
+        if (hz.expired(st) || l->key == key) continue;
+        fresh = LNodeT::make(h, l->key, l->value, fresh, st);
       }
       if (add != nullptr) fresh = LNodeT::make(h, key, *add, fresh, hz.now);
       repl = fresh;
@@ -967,8 +901,8 @@ class CacheTrie {
       obs::sites::cachetrie_txn_retry.add();
       return std::nullopt;
     }
-    account(static_cast<std::ptrdiff_t>(kept == 1 ? sizeof(SNodeT)
-                                                  : kept * sizeof(LNodeT)));
+    policy_.account(static_cast<std::ptrdiff_t>(
+        kept == 1 ? sizeof(SNodeT) : kept * sizeof(LNodeT)));
     for (std::size_t i = 0; i < corpses; ++i) {
       note_eviction(/*expiry=*/true, h, lev);
     }
@@ -999,12 +933,10 @@ class CacheTrie {
         auto* sn = static_cast<SNodeT*>(old);
         note_leaf_level(sn, lev + 4, cache_level, start_lev, sample_depth);
         if (sn->hash == h && sn->key == key) {
-          if (bounded_) {
-            if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
-              return std::nullopt;  // corpse: unobservable, evicted lazily
-            }
-            sn->stamp.store(hz.now, std::memory_order_relaxed);
+          if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
+            return std::nullopt;  // corpse: unobservable, evicted lazily
           }
+          sn->stamp.store(hz.now, std::memory_order_relaxed);
           return sn->value;
         }
         return std::nullopt;
@@ -1092,7 +1024,7 @@ class CacheTrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("cachetrie.pinned");
     const std::uint64_t h = hasher_(key);
-    const Horizon hz = make_horizon();
+    const Horizon hz = policy_.make_horizon();
     std::optional<V> out;
     const Res r = descend(h, [&](ANode* start, std::uint32_t lev) {
       return remove_rec(key, h, lev, start, nullptr, &out, expected, hz);
@@ -1124,17 +1056,17 @@ class CacheTrie {
           NodeBase* txn = osn->txn.load(std::memory_order_acquire);
           if (txn == Sentinels::no_txn()) {
             const std::uint64_t ostamp =
-                bounded_ ? osn->stamp.load(std::memory_order_relaxed) : 0;
+                osn->stamp.load(std::memory_order_relaxed);
             if (osn->hash != h || !(osn->key == key)) {
               // Hygiene: a stale pair crossing a remover's path is evicted
               // even though it is not the remover's key.
-              if (bounded_ && hz.evictable(ostamp)) {
+              if (hz.evictable(ostamp)) {
                 try_evict_snode(slot, osn, cur, prev, lev,
                                 hz.expired(ostamp));
               }
               return Res::kNotFound;
             }
-            if (bounded_ && hz.expired(ostamp)) {
+            if (hz.expired(ostamp)) {
               // The target itself is a corpse: semantically absent — evict
               // it and report NotFound (even for a plain remove).
               try_evict_snode(slot, osn, cur, prev, lev, /*expiry=*/true);
@@ -1219,7 +1151,7 @@ class CacheTrie {
     if (prev->slots()[en->parentpos].compare_exchange_strong(
             expected, en, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
+      policy_.account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
       complete_enode(en);
     } else {
       delete en;  // [delete: unpublished]
@@ -1290,7 +1222,7 @@ class CacheTrie {
           if (slot.compare_exchange_strong(expected, fn,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-            account(static_cast<std::ptrdiff_t>(sizeof(FNode)));
+            policy_.account(static_cast<std::ptrdiff_t>(sizeof(FNode)));
           } else {
             delete fn;  // [delete: unpublished]
           }
@@ -1344,15 +1276,14 @@ class CacheTrie {
     // CAS: until the unique winner of that CAS publishes it, the subtree is
     // unreachable for mutation (helpers only return from here after the
     // winner's CAS), so the walk is exact.
-    const std::ptrdiff_t committed_bytes =
-        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(committed))
-                 : 0;
+    const std::ptrdiff_t committed_bytes = ledger_bytes(committed);
     testkit::chaos_point("cachetrie.enode_commit");
     NodeBase* expected_en = en;
     if (en->parent->slots()[en->parentpos].compare_exchange_strong(
             expected_en, committed, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      account(committed_bytes - static_cast<std::ptrdiff_t>(sizeof(ENode)));
+      policy_.account(committed_bytes -
+                      static_cast<std::ptrdiff_t>(sizeof(ENode)));
       if (committed != nullptr && committed->kind == Kind::kANode) {
         maybe_inhabit(committed, en->hash, en->level);
       }
@@ -1443,7 +1374,8 @@ class CacheTrie {
   LNodeT* copy_chain(LNodeT* chain) {
     LNodeT* fresh = nullptr;
     for (LNodeT* l = chain; l != nullptr; l = l->next) {
-      fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
+      fresh = LNodeT::make(l->hash, l->key, l->value, fresh,
+                           l->stamp.load(std::memory_order_relaxed));
     }
     return fresh;
   }
@@ -1506,7 +1438,7 @@ class CacheTrie {
   void retire_chain(LNodeT* chain) {
     while (chain != nullptr) {
       LNodeT* next = chain->next;
-      account(-static_cast<std::ptrdiff_t>(sizeof(LNodeT)));
+      policy_.account(-static_cast<std::ptrdiff_t>(sizeof(LNodeT)));
       Reclaimer::template retire<LNodeT>(chain);
       chain = next;
     }
@@ -1541,14 +1473,15 @@ class CacheTrie {
         } else {
           retire_chain(static_cast<LNodeT*>(fn->frozen));
         }
-        account(-static_cast<std::ptrdiff_t>(sizeof(FNode)));
+        policy_.account(-static_cast<std::ptrdiff_t>(sizeof(FNode)));
         Reclaimer::template retire<FNode>(fn);
       } else {
         assert(false && "unexpected node kind in frozen subtree");
       }
     }
     clear_cache_refs(frozen, prefix, level);
-    account(-static_cast<std::ptrdiff_t>(ANode::alloc_size(frozen->length)));
+    policy_.account(
+        -static_cast<std::ptrdiff_t>(ANode::alloc_size(frozen->length)));
     Reclaimer::retire_raw_sized(frozen, &mr::free_raw_storage,
                                 ANode::alloc_size(frozen->length));
   }
@@ -1618,7 +1551,7 @@ class CacheTrie {
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
+        policy_.account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
         bump_stat(&Stats::cache_installs);
         obs::sites::cachetrie_cache_install.add();
         obs::trace::emit(obs::trace::EventId::kCachetrieCacheInstall,
@@ -1802,7 +1735,7 @@ class CacheTrie {
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
+        policy_.account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
         bump_stat(&Stats::cache_level_changes);
         obs::sites::cachetrie_cache_level_change.add();
         obs::trace::emit(obs::trace::EventId::kCachetrieCacheLevelChange,
@@ -1823,7 +1756,7 @@ class CacheTrie {
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
       if (fresh != anc) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
+        policy_.account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
       }
       bump_stat(&Stats::cache_level_changes);
       obs::sites::cachetrie_cache_level_change.add();
@@ -1833,7 +1766,7 @@ class CacheTrie {
       // still be walking it.
       for (CacheArray* c = head; c != anc;) {
         CacheArray* parent = c->parent;
-        account(-static_cast<std::ptrdiff_t>(c->footprint_bytes()));
+        policy_.account(-static_cast<std::ptrdiff_t>(c->footprint_bytes()));
         Reclaimer::retire_raw_sized(c, &CacheArray::destroy_erased,
                                     c->footprint_bytes());
         c = parent;
@@ -1977,21 +1910,9 @@ class CacheTrie {
   ANode* root_;
   mutable std::atomic<CacheArray*> cache_head_{nullptr};
   mutable Stats stats_;
-
-  // --- bounded-memory mode state (DESIGN.md §3). All words are advisory:
-  // every access is relaxed, and no protocol decision builds a
-  // happens-before edge through them.
-  bool bounded_ = false;
-  /// Logical eviction clock (one tick per op) when no injectable clock is
-  /// configured. Mutable: lookups refresh stamps and advance the clock.
-  mutable std::atomic<std::uint64_t> op_tick_{0};
-  /// Signed so transient publish/retire interleavings can dip below zero.
-  mutable std::atomic<std::int64_t> resident_bytes_{0};
-  std::atomic<std::uint64_t> evict_cursor_{0};
-  std::atomic<std::uint64_t> lru_window_{kLruIdleTicks};
-  mutable std::atomic<std::uint64_t> lru_evictions_{0};
-  mutable std::atomic<std::uint64_t> ttl_expiries_{0};
-  mutable std::atomic<std::uint64_t> backpressure_scans_{0};
+  /// Bounded-memory state (clock, ledger, window, counters); empty for a
+  /// plain trie.
+  [[no_unique_address]] Policy policy_;
 };
 
 }  // namespace cachetrie

@@ -1,20 +1,15 @@
 // config.hpp — tuning knobs of the cache-trie.
 //
-// Defaults follow the paper. Config holds the knobs that benches, tests or
-// the bounded mode actually set; parameters that nothing moves are the
-// constants declared before it.
+// Defaults follow the paper. Config holds the knobs that benches and tests
+// actually set; parameters that nothing moves are the constants declared
+// before it. The bounded-memory mode's ceiling, TTL and clock are not trie
+// knobs: they belong to evict::BoundedConfig (evict.hpp), whose policy type
+// compiles them into BoundedCacheTrie only.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace cachetrie {
-
-/// Injectable clock for the bounded-memory mode (DESIGN.md §3). Returns the
-/// current tick; tests point it at a test-controlled atomic so TTL expiry is
-/// deterministic. A plain function pointer keeps Config trivially copyable.
-using TickFn = std::uint64_t (*)();
 
 /// Number of padded per-thread miss counters in each cache array (the
 /// paper's THROUGHPUT_FACTOR * #CPU).
@@ -28,15 +23,6 @@ inline constexpr std::uint32_t kCacheInitTriggerLevel = 12;
 /// Random trie descents per sampling pass (§3.6: "The thread repeats this
 /// several times").
 inline constexpr std::uint32_t kSampleSize = 192;
-
-/// Initial width of the bounded mode's adaptive LRU window: under ceiling
-/// pressure, pairs idle for more than this many ticks are evictable. The
-/// window halves when a backpressure scan frees nothing and relaxes back
-/// once the footprint drops below 3/4 of the ceiling.
-inline constexpr std::uint64_t kLruIdleTicks = 1024;
-
-/// Hash paths probed per backpressure scan (the lazy clock hand).
-inline constexpr std::uint32_t kEvictProbes = 8;
 
 struct Config {
   /// Master switch for the auxiliary cache (§3.4). Off reproduces the
@@ -69,28 +55,6 @@ struct Config {
   /// Maintain operation counters (expansions, cache hits, ...). Off by
   /// default: benches must not pay for shared-counter traffic.
   bool collect_stats = false;
-
-  // --- bounded-memory mode (DESIGN.md §3; evict.hpp wraps these) ------------
-  // The mode is active iff ceiling_bytes != 0 or ttl_ticks != 0; otherwise
-  // every knob below is inert and the trie pays one predictable branch.
-
-  /// Hard ceiling on the trie's observed resident bytes (0 = unbounded).
-  /// Enforced by backpressure eviction scans run by every writer, so a dead
-  /// evictor cannot unbound the footprint.
-  std::size_t ceiling_bytes = 0;
-
-  /// TTL in ticks (0 = no TTL): a pair whose stamp is older than
-  /// `now - ttl_ticks` is semantically absent and lazily evicted.
-  std::uint64_t ttl_ticks = 0;
-
-  /// Clock for stamps and horizons; nullptr = a per-trie logical tick that
-  /// advances once per operation.
-  TickFn tick_fn = nullptr;
-
-  /// Optional process-wide resident-bytes cell this trie mirrors its exact
-  /// byte accounting into; evict.hpp points it at the cell its registered
-  /// callback gauge reads. Must outlive the trie.
-  std::atomic<std::int64_t>* resident_gauge = nullptr;
 };
 
 }  // namespace cachetrie

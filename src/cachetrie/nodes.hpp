@@ -15,7 +15,9 @@
 // The Scala original distinguishes node types with runtime class tests; here
 // every node starts with a one-byte `Kind` tag. Only SNode and LNode carry
 // the key/value types, so the structural nodes (ANode, ENode, FNode and all
-// sentinels) are untemplated and shared across instantiations.
+// sentinels) are untemplated and shared across instantiations. The leaves
+// also take the trie's stamp type: a bounded trie's leaves carry a last-use
+// tick word, a plain trie's carry none (NoStamp).
 #pragma once
 
 #include <atomic>
@@ -134,6 +136,17 @@ struct ENode : NodeBase {
   }
 };
 
+/// A plain trie's leaf stamp: an empty stand-in for the bounded mode's
+/// relaxed std::atomic<std::uint64_t> last-use tick (DESIGN.md §3). As a
+/// [[no_unique_address]] member it costs no bytes; loads read tick 0 and
+/// stores are dropped.
+struct NoStamp {
+  static constexpr std::uint64_t load(std::memory_order) noexcept {
+    return 0;
+  }
+  static constexpr void store(std::uint64_t, std::memory_order) noexcept {}
+};
+
 /// Leaf node: one key-value pair plus the txn field that coordinates every
 /// modification of the pair (paper Fig. 1). txn states:
 ///   NoTxn    — live, no operation in progress
@@ -141,20 +154,15 @@ struct ENode : NodeBase {
 ///   nullptr  — removal announced; helpers commit null into the parent slot
 ///   other    — replacement node announced (SNode, ANode or LNode); helpers
 ///              commit it into the parent slot
-///
-/// `stamp` is the bounded-memory mode's last-use tick (DESIGN.md §3): set at
-/// creation, refreshed with a relaxed store on every hit, read with a relaxed
-/// load by eviction horizons. It is advisory — no protocol decision creates a
-/// happens-before edge through it, so all its accesses stay relaxed. Unbounded
-/// tries leave it 0. Copies made by the freeze/expand protocol carry the
-/// source stamp so the copy remains the same logical entry.
-template <typename K, typename V>
+/// `StampT` is the trie policy's stamp type; with NoStamp the leaf is exactly
+/// the paper's hash, key, value and txn.
+template <typename K, typename V, typename StampT = NoStamp>
 struct SNode : NodeBase {
   std::uint64_t hash;
   K key;
   V value;
   std::atomic<NodeBase*> txn;
-  std::atomic<std::uint64_t> stamp;
+  [[no_unique_address]] StampT stamp;
 
   static SNode* make(std::uint64_t hash, const K& key, const V& value,
                      std::uint64_t stamp = 0) {
@@ -170,22 +178,24 @@ struct SNode : NodeBase {
 /// fresh chain and swaps it in with one CAS on the parent slot, so LNodes
 /// need no txn field. Chains always hold >= 2 pairs (a 1-pair chain is
 /// collapsed back into an SNode).
-/// `stamp` is the pair's creation (or last rebuild) tick for the bounded
-/// mode's TTL horizon. Chains are immutable, so chain hits do not refresh it —
-/// a documented approximation: full-hash collisions are vanishingly rare
-/// under the universal hash, and a rebuild re-stamps the surviving pairs'
-/// creation stamps unchanged.
-template <typename K, typename V>
+/// In bounded tries `stamp` is the pair's creation (or last rebuild) tick
+/// for the TTL horizon. Chains are immutable, so chain hits do not refresh
+/// it — a documented approximation: full-hash collisions are vanishingly
+/// rare under the universal hash, and a rebuild carries the surviving
+/// pairs' stamps forward unchanged.
+template <typename K, typename V, typename StampT = NoStamp>
 struct LNode : NodeBase {
   std::uint64_t hash;
   LNode* next;
   K key;
   V value;
-  std::uint64_t stamp;
+  [[no_unique_address]] StampT stamp;
 
   static LNode* make(std::uint64_t hash, const K& key, const V& value,
                      LNode* next, std::uint64_t stamp = 0) {
-    return new LNode{{Kind::kLNode}, hash, next, key, value, stamp};
+    auto* l = new LNode{{Kind::kLNode}, hash, next, key, value, {}};
+    l->stamp.store(stamp, std::memory_order_relaxed);
+    return l;
   }
 };
 

@@ -16,8 +16,8 @@
 // viewer's per-thread stack, so the writer tracks span depth per tid and
 // demotes unmatched ends to instants.
 //
-// dump_to_file() honors $CACHETRIE_TRACE_OUT (directory) and names files
-// TRACE_<reason>.json; post_mortem_dump() is the once-per-process variant
+// dump_to_file() honors $CACHETRIE_TRACE_OUT (directory, created when
+// missing) and names files TRACE_<reason>.json; post_mortem_dump() is the once-per-process variant
 // the watchdog/lin-check failure hooks call, so the first failure's
 // timeline is preserved and later failures cannot overwrite it.
 #pragma once
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -102,6 +103,9 @@ inline std::string dump_path(const char* reason) {
 inline std::string dump_to_file(const char* reason) {
   if (!kTraceCompiled) return {};
   const std::string file = dump_path(reason);
+  std::error_code ec;  // a failure here surfaces as the open failure below
+  std::filesystem::create_directories(std::filesystem::path(file).parent_path(),
+                                      ec);
   std::ofstream os{file};
   if (!os) {
     std::fprintf(stderr, "trace: cannot open %s\n", file.c_str());

@@ -1,10 +1,10 @@
 // eviction_fault_test.cpp — the bounded mode under injected faults.
 //
 // The design claim under test: there is no eviction thread to lose. Ceiling
-// enforcement is run by *every* writer (maybe_backpressure), so killing the
-// one thread that happens to be mid-scan must neither unbound the footprint
-// nor stall survivors. Plus two deterministic regressions for the
-// value-compare-after-announce window of remove_if_equals/evict (the audit
+// enforcement is run by *every* writer (BoundedPolicy::backpressure), so
+// killing the one thread that happens to be mid-scan must neither unbound
+// the footprint nor stall survivors. Plus two deterministic regressions for
+// the value-compare-after-announce window of remove_if_equals/evict (the audit
 // in DESIGN.md §3: the compare is revalidated because the txn CAS fails if
 // anything replaced the pair after the compare), and a randomized stall
 // storm over the new eviction chaos sites that must leave the structure
@@ -72,7 +72,7 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
     tk::chaos::bind_thread(0);
     try {
       // Fill past the ceiling: the insert that first observes
-      // resident > ceiling enters evict_scan and is killed there.
+      // resident > ceiling enters the clock-hand scan and is killed there.
       for (std::uint64_t i = 0; i < 200000; ++i) {
         trie.insert(0xdead000000ull + i, i);
       }
@@ -87,7 +87,7 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
          std::chrono::steady_clock::now() < park_deadline) {
     std::this_thread::yield();
   }
-  ASSERT_EQ(fault::parked_now(), 1u) << "victim never reached evict_scan";
+  ASSERT_EQ(fault::parked_now(), 1u) << "victim never reached cachetrie.evict_scan";
 
   // Survivors churn a stream of fresh keys many times the ceiling while the
   // evictor-of-record is dead mid-scan.

@@ -4,6 +4,7 @@
 // the flexible-array nodes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 
 #include "cachetrie/cache.hpp"
@@ -12,6 +13,19 @@
 namespace {
 
 using namespace cachetrie::detail;
+
+using u64 = std::uint64_t;
+// A bounded trie's leaves carry a relaxed atomic last-use tick
+// (evict::BoundedPolicy::Stamp); a plain trie's carry no stamp at all.
+using BoundedStamp = std::atomic<u64>;
+
+// The plain leaves are the paper's Fig. 1 fields and nothing else: kind tag
+// (padded to a word), hash, key, value and txn — or next, for LNodes. The
+// bounded mode adds exactly its one stamp word.
+static_assert(sizeof(SNode<u64, u64>) == 40);
+static_assert(sizeof(LNode<u64, u64>) == 40);
+static_assert(sizeof(SNode<u64, u64, BoundedStamp>) == 48);
+static_assert(sizeof(LNode<u64, u64, BoundedStamp>) == 48);
 
 TEST(NodeLayout, SentinelsAreDistinctSingletons) {
   EXPECT_EQ(Sentinels::fv(), Sentinels::fv());
@@ -53,21 +67,29 @@ TEST(NodeLayout, SNodeCarriesPairAndIdleTxn) {
   EXPECT_EQ(s->key, 7);
   EXPECT_EQ(s->value, 70);
   EXPECT_EQ(s->txn.load(), Sentinels::no_txn());
-  // Unbounded tries never write the stamp; it must default to 0 so the
-  // bounded-mode horizon checks are vacuous for them.
-  EXPECT_EQ(s->stamp.load(), 0u);
+  delete s;
+}
+
+TEST(NodeLayout, PlainLeavesDropEveryStamp) {
+  // A plain trie's stamp is empty: a stamp passed to make() is dropped and
+  // every load reads tick 0, below no horizon floor of a plain trie.
+  auto* s = SNode<u64, u64>::make(0x1ull, 1, 10, /*stamp=*/42);
+  EXPECT_EQ(s->stamp.load(std::memory_order_relaxed), 0u);
+  auto* l = LNode<u64, u64>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
+  EXPECT_EQ(l->stamp.load(std::memory_order_relaxed), 0u);
+  delete l;
   delete s;
 }
 
 TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
   // The bounded mode (DESIGN.md §3) stores the last-use tick inline in the
-  // leaf: one extra word per pair, atomic on SNodes (hits refresh it
-  // concurrently), plain on LNodes (chains are immutable — a rebuild copies
-  // the stamp forward instead).
-  auto* s = SNode<int, int>::make(0x1ull, 1, 10, /*stamp=*/42);
-  EXPECT_EQ(s->stamp.load(), 42u);
-  auto* l = LNode<int, int>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
-  EXPECT_EQ(l->stamp, 43u);
+  // leaf: one extra word per pair. SNode hits refresh it concurrently;
+  // LNode chains are immutable, so a rebuild copies the stamp forward.
+  auto* s = SNode<u64, u64, BoundedStamp>::make(0x1ull, 1, 10, /*stamp=*/42);
+  EXPECT_EQ(s->stamp.load(std::memory_order_relaxed), 42u);
+  auto* l =
+      LNode<u64, u64, BoundedStamp>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
+  EXPECT_EQ(l->stamp.load(std::memory_order_relaxed), 43u);
   delete l;
   delete s;
 }
@@ -93,7 +115,6 @@ TEST(NodeLayout, LNodeChainLinks) {
   auto* l2 = LNode<int, int>::make(5, 2, 20, l1);
   EXPECT_EQ(l2->next, l1);
   EXPECT_EQ(l2->hash, l1->hash);
-  EXPECT_EQ(l1->stamp, 0u);  // default: unbounded tries never stamp
   delete l2;
   delete l1;
 }

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -22,6 +23,8 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cachetrie/evict.hpp"
 #include "net/client.hpp"
@@ -337,6 +340,39 @@ TEST_F(TraceTest, DumpToFileWritesLoadableJsonUnderTraceOut) {
   expect_balanced(out);
   EXPECT_NE(out.find("mr.epoch.flip"), std::string::npos);
   EXPECT_NE(out.find("mr.epoch.stall_declare"), std::string::npos);
+}
+
+TEST_F(TraceTest, DumpToFileCreatesMissingTraceOutDirectory) {
+  // A $CACHETRIE_TRACE_OUT that names a directory which does not exist yet
+  // (two levels of it here) still gets the dump.
+  const char* preset_env = std::getenv("CACHETRIE_TRACE_OUT");
+  const std::string preset = preset_env != nullptr ? preset_env : "";
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      ("trace_out_missing_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const std::filesystem::path dir = root / "nested" / "deeper";
+  ASSERT_EQ(setenv("CACHETRIE_TRACE_OUT", dir.c_str(), 1), 0);
+  trace::emit(EventId::kMrEpochFlip, 3);
+
+  const std::string path = trace::dump_to_file("missing_dir");
+  if (preset_env != nullptr) {
+    setenv("CACHETRIE_TRACE_OUT", preset.c_str(), 1);
+  } else {
+    unsetenv("CACHETRIE_TRACE_OUT");
+  }
+  ASSERT_FALSE(path.empty()) << "dump into a missing directory was lost";
+  EXPECT_EQ(path.find(dir.string()), 0u) << path;
+
+  std::ifstream is{path};
+  ASSERT_TRUE(is.good());
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const std::string out = ss.str();
+  expect_balanced(out);
+  EXPECT_NE(out.find("mr.epoch.flip"), std::string::npos);
+  is.close();
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(TraceTest, PostMortemDumpIsOncePerProcess) {
