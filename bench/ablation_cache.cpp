@@ -63,8 +63,6 @@ int main() {
     (void)sink;
   }
 
-  cachetrie::harness::BenchReport report{"ablation_cache"};
-
   {
     std::printf("--- A: cache level (N = %zu; sampled optimum ~level %u) ---\n",
                 n, ideal);
@@ -73,11 +71,6 @@ int main() {
     {
       bench::CacheTrieMap trie;
       adaptive = lookup_throughput(trie, keys);
-      report.add("cachetrie",
-                 {{"op", "ablation_cache_level"},
-                  {"n", std::to_string(n)},
-                  {"config", "adaptive"}},
-                 adaptive, n);
       table.add_row({"adaptive (paper)", Table::fmt(adaptive.mean_ms),
                      "1.00x"});
     }
@@ -90,11 +83,6 @@ int main() {
       cfg.cache_init_level = lvl;
       cachetrie::CacheTrie<bench::Key, bench::Val> trie(cfg);
       const Summary s = lookup_throughput(trie, keys);
-      report.add("cachetrie",
-                 {{"op", "ablation_cache_level"},
-                  {"n", std::to_string(n)},
-                  {"config", "pinned_" + std::to_string(lvl)}},
-                 s, n);
       table.add_row({"pinned level " + std::to_string(lvl),
                      Table::fmt(s.mean_ms),
                      Table::fmt_ratio(s.mean_ms, adaptive.mean_ms)});
@@ -104,11 +92,6 @@ int main() {
       cfg.use_cache = false;
       cachetrie::CacheTrie<bench::Key, bench::Val> trie(cfg);
       const Summary s = lookup_throughput(trie, keys);
-      report.add("cachetrie_nocache",
-                 {{"op", "ablation_cache_level"},
-                  {"n", std::to_string(n)},
-                  {"config", "no_cache"}},
-                 s, n);
       table.add_row({"no cache", Table::fmt(s.mean_ms),
                      Table::fmt_ratio(s.mean_ms, adaptive.mean_ms)});
     }
@@ -124,11 +107,6 @@ int main() {
       cfg.max_misses = mm;
       cachetrie::CacheTrie<bench::Key, bench::Val> trie(cfg);
       const Summary s = lookup_throughput(trie, keys);
-      report.add("cachetrie",
-                 {{"op", "ablation_miss_threshold"},
-                  {"n", std::to_string(n)},
-                  {"max_misses", std::to_string(mm)}},
-                 s, n);
       table.add_row({std::to_string(mm), Table::fmt(s.mean_ms)});
     }
     table.print();
@@ -153,11 +131,6 @@ int main() {
             });
           },
           bench::bench_options());
-      report.add("cachetrie",
-                 {{"op", "ablation_reclaimer"},
-                  {"n", std::to_string(n / 2)},
-                  {"reclaimer", "epoch"}},
-                 s, n);
       table.add_row({"epoch (EBR, default)", Table::fmt(s.mean_ms)});
     }
     {
@@ -173,17 +146,9 @@ int main() {
             });
           },
           bench::bench_options());
-      report.add("cachetrie",
-                 {{"op", "ablation_reclaimer"},
-                  {"n", std::to_string(n / 2)},
-                  {"reclaimer", "leak"}},
-                 s, n);
       table.add_row({"leak (GC-like upper bound)", Table::fmt(s.mean_ms)});
     }
     table.print();
   }
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

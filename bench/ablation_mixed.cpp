@@ -62,8 +62,6 @@ int main() {
   std::printf("--- N = %zu, %d threads, %zu ops/thread ---\n", n, threads,
               ops);
 
-  cachetrie::harness::BenchReport report{"ablation_mixed"};
-
   Table table{{"read%", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
                "skiplist"}};
   for (const unsigned read_pct : {95u, 70u, 50u}) {
@@ -77,17 +75,6 @@ int main() {
                                     threads, read_pct, ops);
     const Summary slist = bench_mix([] { return bench::SkipListMap{}; },
                                     keys, threads, read_pct, ops);
-    {
-      const Summary cells[5] = {chm, trie, trie_nc, ctrie, slist};
-      for (int i = 0; i < 5; ++i) {
-        report.add(bench::kStructureNames[i],
-                   {{"op", "mixed"},
-                    {"n", std::to_string(n)},
-                    {"threads", std::to_string(threads)},
-                    {"read_pct", std::to_string(read_pct)}},
-                   cells[i], static_cast<std::uint64_t>(ops) * threads);
-      }
-    }
     auto cell = [&](const Summary& s) {
       return Table::fmt(s.mean_ms) + " (" +
              Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
@@ -100,8 +87,5 @@ int main() {
   std::printf(
       "\nexpected: the cache-trie's advantage grows with the write share\n"
       "(no resize stalls), while CHM leads in read-dominated mixes.\n");
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

@@ -28,19 +28,6 @@ int main() {
       {100000}, {100000, 200000, 400000, 800000},
       {100000, 200000, 400000, 800000, 1600000});
 
-  cachetrie::harness::BenchReport report{"appendix_level_histogram"};
-  // Not a timing benchmark: the JSON cell carries the measured
-  // two-adjacent-level share (a fraction, Theorem 4.2's >=0.8745 bound) in
-  // mean_ms, with the unit recorded in params.
-  auto share_summary = [](double share) {
-    cachetrie::harness::Summary s;
-    s.mean_ms = share;
-    s.min_ms = share;
-    s.max_ms = share;
-    s.reps = 1;
-    return s;
-  };
-
   for (const std::size_t n : sizes) {
     bench::CacheTrieMap trie;
     for (auto k : cachetrie::harness::random_keys(n)) trie.insert(k, k);
@@ -69,14 +56,6 @@ int main() {
     std::printf("  two-adjacent-level share: %.2f%% (Theorem 4.2: >=87.45%% "
                 "as n grows)\n\n",
                 100.0 * hist.top_pair_share());
-    report.add("cachetrie",
-               {{"op", "two_adjacent_level_share"},
-                {"n", std::to_string(n)},
-                {"unit", "fraction"}},
-               share_summary(hist.top_pair_share()));
   }
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

@@ -11,13 +11,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
-#include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
@@ -78,65 +79,6 @@ inline void print_preamble(const char* figure, const char* description) {
               scale ? scale : "default");
   std::printf("hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
-}
-
-/// Canonical structure names used in the JSON artifacts — the same order
-/// the figure helpers return their Summary vectors in (CHM first: it is the
-/// baseline every table's ratios divide by).
-inline constexpr const char* kStructureNames[5] = {
-    "chm", "cachetrie", "cachetrie_nocache", "ctrie", "skiplist"};
-
-/// Adds one table row's five structure cells to the JSON report. `threads`
-/// 0 means single-threaded (the param is omitted); `ops_per_rep` is the
-/// operation count one rep performs (0 = not applicable).
-inline void report_row(cachetrie::harness::BenchReport& report,
-                       const std::string& op, std::size_t n, int threads,
-                       const std::vector<cachetrie::harness::Summary>& cells,
-                       std::uint64_t ops_per_rep = 0) {
-  for (std::size_t i = 0; i < cells.size() && i < 5; ++i) {
-    cachetrie::harness::BenchParams params{{"op", op},
-                                           {"n", std::to_string(n)}};
-    if (threads > 0) params.emplace_back("threads", std::to_string(threads));
-    report.add(kStructureNames[i], std::move(params), cells[i], ops_per_rep);
-  }
-}
-
-/// Adds per-op lookup tail-latency rows (p50/p90/p99/p999 cells, unit=ns)
-/// for all five structures to the report. Each structure gets a fresh map
-/// pre-filled with n keys, one warm pass over every key, then `passes`
-/// measured passes on the TSC clock (see harness::measure_latency). Runs
-/// single-threaded on purpose: the cells gate the *structure's* lookup tail
-/// (cache-depth effects, pathological probe chains), not scheduler jitter.
-inline void add_latency_rows(cachetrie::harness::BenchReport& report,
-                             std::size_t n, std::size_t passes = 3) {
-  using cachetrie::harness::measure_latency;
-  const cachetrie::harness::BenchParams params{
-      {"op", "lookup_latency"}, {"n", std::to_string(n)}};
-  const auto run = [&](const char* name, auto make) {
-    auto map = make();
-    for (std::size_t i = 0; i < n; ++i) map.insert(i, i);
-    volatile std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (auto v = map.lookup(i)) sink = sink + *v;
-    }
-    const auto ls = measure_latency(
-        [&](std::uint64_t i) {
-          if (auto v = map.lookup(i % n)) sink = sink + *v;
-        },
-        n, passes);
-    report.add_latency(name, params, ls);
-  };
-  run(kStructureNames[0], [] { return ChmMap{}; });
-  run(kStructureNames[1], make_cachetrie);
-  run(kStructureNames[2], make_cachetrie_nocache);
-  run(kStructureNames[3], [] { return CtrieMap{}; });
-  run(kStructureNames[4], [] { return SkipListMap{}; });
-}
-
-/// Writes the artifact; exits non-zero on I/O failure so CI never mistakes
-/// a dropped artifact for a clean run.
-inline int finish_report(const cachetrie::harness::BenchReport& report) {
-  return report.write() ? 0 : 1;
 }
 
 /// Thread counts swept by the parallel figures (paper: 1..8 on a 4c/8t i7).

@@ -23,20 +23,6 @@ int main() {
       {50000, 200000}, {50000, 500000, 1000000, 2000000},
       {50000, 500000, 1000000, 1500000, 2000000});
 
-  cachetrie::harness::BenchReport report{"fig09_footprint"};
-  // Footprints are exact single measurements (byte counts), not timings:
-  // the Summary carries bytes in mean_ms with zero spread, and the cell's
-  // params mark the unit so plotting scripts don't treat them as
-  // milliseconds.
-  auto bytes_summary = [](double bytes) {
-    cachetrie::harness::Summary s;
-    s.mean_ms = bytes;
-    s.min_ms = bytes;
-    s.max_ms = bytes;
-    s.reps = 1;
-    return s;
-  };
-
   Table table{{"size", "skiplist", "chm", "ctrie", "cachetrie w/o cache",
                "cachetrie"}};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
@@ -61,17 +47,6 @@ int main() {
     for (std::size_t i = 0; i < keys.size(); ++i) (void)trie.lookup(keys[i]);
     tc = static_cast<double>(trie.footprint_bytes());
 
-    {
-      const double by_structure[5] = {hm, tc, tnc, ct, sl};
-      for (int i = 0; i < 5; ++i) {
-        report.add(bench::kStructureNames[i],
-                   {{"op", "footprint"},
-                    {"n", std::to_string(n)},
-                    {"unit", "bytes"}},
-                   bytes_summary(by_structure[i]));
-      }
-    }
-
     auto cell = [&](double bytes) {
       return Table::fmt(bytes / 1e6) + " MB (" + Table::fmt_ratio(bytes, sl) +
              ")";
@@ -89,8 +64,5 @@ int main() {
   std::printf(
       "\nexpected shape (paper): skiplist lowest; ctrie ~= cachetrie;\n"
       "tries ~1.3-1.5x CHM; cache adds <10%% over w/o-cache.\n");
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

@@ -43,14 +43,13 @@ Summary bench_insert(Make&& make, const std::vector<bench::Key>& keys) {
 
 template <typename RunAll>
 void print_figure(const char* title, const std::vector<std::size_t>& sizes,
-                  cachetrie::harness::BenchReport& report, RunAll run_all) {
+                  RunAll run_all) {
   std::printf("--- %s ---\n", title);
   Table table{{"N", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
                "skiplist"}};
   for (const std::size_t n : sizes) {
     const auto keys = cachetrie::harness::shuffled_sequential_keys(n);
     const auto r = run_all(keys);
-    bench::report_row(report, title, n, /*threads=*/0, r, n);
     auto cell = [&](const Summary& s) {
       return Table::fmt(s.mean_ms) + " (" +
              Table::fmt_ratio(s.mean_ms, r[0].mean_ms) + ")";
@@ -75,10 +74,7 @@ int main() {
       {20000, 50000}, {50000, 150000, 300000, 500000},
       {50000, 100000, 200000, 300000, 400000, 500000});
 
-  cachetrie::harness::BenchReport report{"fig10_single_thread"};
-
-  print_figure("lookup", sizes, report,
-               [](const std::vector<bench::Key>& keys) {
+  print_figure("lookup", sizes, [](const std::vector<bench::Key>& keys) {
     return std::vector<Summary>{
         bench_lookup([] { return bench::ChmMap{}; }, keys),
         bench_lookup(bench::make_cachetrie, keys),
@@ -88,8 +84,7 @@ int main() {
     };
   });
 
-  print_figure("insert", sizes, report,
-               [](const std::vector<bench::Key>& keys) {
+  print_figure("insert", sizes, [](const std::vector<bench::Key>& keys) {
     return std::vector<Summary>{
         bench_insert([] { return bench::ChmMap{}; }, keys),
         bench_insert(bench::make_cachetrie, keys),
@@ -102,8 +97,5 @@ int main() {
   std::printf(
       "expected shape (paper): lookup CHM < cachetrie (1.6-2.1x) << ctrie\n"
       "(<=7.5x) << skiplist (<=36x); insert cachetrie within +-20%% of CHM.\n");
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

@@ -45,8 +45,6 @@ int main() {
   const auto keys = cachetrie::harness::shuffled_sequential_keys(n);
   std::printf("--- N = %zu ---\n", n);
 
-  cachetrie::harness::BenchReport report{"fig13_parallel_lookup"};
-
   Table table{{"threads", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
                "skiplist"}};
   for (const int threads : bench::thread_sweep()) {
@@ -60,9 +58,6 @@ int main() {
         [] { return bench::CtrieMap{}; }, keys, threads);
     const Summary slist = bench_parallel_lookup(
         [] { return bench::SkipListMap{}; }, keys, threads);
-    bench::report_row(report, "parallel_lookup", n, threads,
-                      {chm, trie, trie_nc, ctrie, slist},
-                      static_cast<std::uint64_t>(n) * threads);
     auto cell = [&](const Summary& s) {
       return Table::fmt(s.mean_ms) + " (" +
              Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
@@ -75,8 +70,5 @@ int main() {
   std::printf(
       "\nexpected shape (paper): CHM < cachetrie (<=1.6x) << w/o-cache ~\n"
       "ctrie << skiplist; cachetrie 2-3x faster than ctrie at 100k-1M.\n");
-  // Tail-latency cells (stat=p50/p90/p99/p999, unit=ns) in the artifact.
-  bench::add_latency_rows(
-      report, cachetrie::harness::by_scale<std::size_t>(20000, 50000, 200000));
-  return bench::finish_report(report);
+  return 0;
 }

@@ -13,9 +13,7 @@
 //
 // Both run for the trie (exact double-entry byte ledger) and the CHM
 // baseline (derived footprint estimate). Sizes are fixed — REPRO_SCALE is
-// ignored so BENCH_fig14_bounded_churn.json stays comparable across runs.
-// Byte and rate cells carry a unit param; the churn/zipf wall-clock cells
-// are normal timing cells.
+// ignored so the table stays comparable across runs.
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -35,7 +33,6 @@ using BoundedChm = cachetrie::evict::BoundedChm<bench::Key, bench::Val>;
 constexpr std::size_t kCeiling = 1u << 20;        // 1 MiB byte ceiling
 constexpr std::size_t kChurnThreads = 4;
 constexpr std::size_t kKeysPerThread = 50000;     // 200k keys ~ 11 MiB of pairs
-constexpr std::size_t kChurnKeys = kChurnThreads * kKeysPerThread;
 constexpr std::size_t kZipfRanks = 60000;         // ~4x what the ceiling holds
 constexpr std::size_t kZipfWarm = 150000;
 constexpr std::size_t kZipfOps = 300000;
@@ -54,17 +51,6 @@ cachetrie::harness::MeasureOptions fig14_options() {
   opts.reps = 2;
   opts.cov_threshold = 0.10;
   return opts;
-}
-
-/// Exact single measurements (byte counts, rates) ride in the timing schema
-/// with zero spread and a unit param — the fig09 convention.
-Summary exact_summary(double value) {
-  Summary s;
-  s.mean_ms = value;
-  s.min_ms = value;
-  s.max_ms = value;
-  s.reps = 1;
-  return s;
 }
 
 struct ChurnStats {
@@ -184,9 +170,8 @@ int main() {
       "(4 writers; resident high-water mark vs ceiling+slack)\n"
       "and (b) a single-threaded zipf(1.0) lookup/insert-on-miss workload\n"
       "(miss rate measures the lazy eviction's LRU fidelity). Fixed sizes;\n"
-      "REPRO_SCALE is ignored so artifacts stay comparable.");
+      "REPRO_SCALE is ignored so runs stay comparable.");
 
-  cachetrie::harness::BenchReport report{"fig14_bounded_churn"};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
 
   Table table{{"structure", "churn (ms)", "resident hwm", "final", "evicted",
@@ -196,29 +181,6 @@ int main() {
     const Summary churn_ms = run_churn(make, churn);
     ZipfStats zipf;
     const Summary zipf_ms = run_zipf(make, zipf);
-
-    const std::string n = std::to_string(kChurnKeys);
-    report.add(name,
-               {{"op", "bounded_churn"},
-                {"n", n},
-                {"threads", std::to_string(kChurnThreads)}},
-               churn_ms, kChurnKeys);
-    report.add(name,
-               {{"op", "churn_resident_hwm"}, {"n", n}, {"unit", "bytes"}},
-               exact_summary(static_cast<double>(churn.hwm)));
-    report.add(name,
-               {{"op", "churn_resident_final"}, {"n", n}, {"unit", "bytes"}},
-               exact_summary(static_cast<double>(churn.final_resident)));
-    report.add(name,
-               {{"op", "zipf_mixed"},
-                {"n", std::to_string(kZipfOps)},
-                {"ranks", std::to_string(kZipfRanks)}},
-               zipf_ms, kZipfOps);
-    report.add(name,
-               {{"op", "zipf_miss_rate"},
-                {"ranks", std::to_string(kZipfRanks)},
-                {"unit", "percent"}},
-               exact_summary(zipf.miss_pct));
 
     table.add_row(
         {name, Table::fmt_mean_std(churn_ms.mean_ms, churn_ms.stddev_ms),
@@ -244,5 +206,5 @@ int main() {
       "%.0f%% an uncached pass would pay.\n",
       static_cast<double>(kCeiling + kCeiling / 2) / 1e6, 100.0);
 
-  return bench::finish_report(report);
+  return 0;
 }

@@ -3,13 +3,11 @@
 // times). Complements the figure reproductions: these are the numbers a
 // downstream user comparing dictionaries cares about.
 //
-// Run a subset:  ./build/bench/micro_ops --benchmark_filter=Lookup
+// Run a subset:  ./build/bench/micro_ops --benchmark_filter=lookup_hit
+// Keep results:  --benchmark_out=micro.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "cachetrie/cache_trie.hpp"
 #include "chashmap/chashmap.hpp"
@@ -114,37 +112,4 @@ BENCHMARK(bm_churn<ChmMap>)->Arg(100000);
 BENCHMARK(bm_churn<CtrieMap>)->Arg(100000);
 BENCHMARK(bm_churn<SkipListMap>)->Arg(100000);
 
-// Expanded BENCHMARK_MAIN(), plus a default JSON artifact: unless the
-// caller passes their own --benchmark_out, results also land in
-// BENCH_micro_ops.json (honoring $CACHETRIE_BENCH_OUT like the figure
-// binaries' BenchReport) so every bench binary leaves a machine-readable
-// trace.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  }
-  std::string out_flag;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    std::string path;
-    if (const char* dir = std::getenv("CACHETRIE_BENCH_OUT")) {
-      path = dir;
-      if (!path.empty() && path.back() != '/') path += '/';
-    }
-    path += "BENCH_micro_ops.json";
-    out_flag = "--benchmark_out=" + path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-    std::printf("writing %s (google-benchmark JSON)\n", path.c_str());
-  }
-  int args_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&args_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

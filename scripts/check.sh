@@ -11,7 +11,13 @@
 #
 # The release stage (-DCMAKE_BUILD_TYPE=Release) exists because -O3 changes
 # the race windows the default build's tests see. It runs the fast,
-# bounded and slow labels. The fault label is left out on purpose:
+# bounded and slow labels. It is also the one stage that builds bench/:
+# it runs every paper-figure reproducer (fig*, ablation_*, appendix_*) at
+# REPRO_SCALE=smoke from an empty directory, and fails on a nonzero exit
+# or on any file a reproducer leaves there (the printed table is a
+# figure's only output). All nine take about 10 s together on 4 vCPUs.
+# The other stages configure with the benches off. The fault label is left
+# out on purpose:
 # LockFreedom.CtrieSurvivesForeverStalls crashes in a Release build (a
 # null dereference after a winning remove CAS in ctrie's iremove, an open
 # bug listed in ROADMAP.md) and joins this stage once that is fixed. net
@@ -125,6 +131,29 @@ run_stage() {
       }
     fi
   fi
+  if [ "$stage" = release ]; then
+    echo "=== [$stage] figure reproducers at REPRO_SCALE=smoke ==="
+    run_figures "$dir"
+  fi
+}
+
+# Runs each figure reproducer in the build tree from an empty directory.
+run_figures() {
+  local dir="$1" run="$1/figure-run" b name
+  for b in "$dir"/bench/fig* "$dir"/bench/ablation_* "$dir"/bench/appendix_*; do
+    name="$(basename "$b")"
+    rm -rf "$run" && mkdir -p "$run"
+    echo "--- $name ---"
+    (cd "$run" && REPRO_SCALE=smoke "$b") || {
+      echo "FAIL: $name exited nonzero" >&2
+      exit 1
+    }
+    if [ -n "$(ls -A "$run")" ]; then
+      echo "FAIL: $name left files behind: $(ls -A "$run" | tr '\n' ' ')" >&2
+      exit 1
+    fi
+  done
+  rmdir "$run"
 }
 
 # Perf stage: a same-host A/B of the working tree (NEW) against HEAD
@@ -194,14 +223,14 @@ case "$want" in
   plain) run_stage plain ;;
   asan) run_stage asan -DCACHETRIE_SANITIZE=ON ;;
   tsan) run_stage tsan -DCACHETRIE_TSAN=ON ;;
-  release) run_stage release -DCMAKE_BUILD_TYPE=Release ;;
+  release) run_stage release -DCMAKE_BUILD_TYPE=Release -DCACHETRIE_BUILD_BENCH=ON ;;
   perf) run_perf ;;
   all)
     run_lint
     run_stage plain
     run_stage asan -DCACHETRIE_SANITIZE=ON
     run_stage tsan -DCACHETRIE_TSAN=ON
-    run_stage release -DCMAKE_BUILD_TYPE=Release
+    run_stage release -DCMAKE_BUILD_TYPE=Release -DCACHETRIE_BUILD_BENCH=ON
     run_perf
     ;;
   *)

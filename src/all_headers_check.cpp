@@ -12,7 +12,6 @@
 #include "cachetrie/stats.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
-#include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"

@@ -119,7 +119,7 @@ struct UnboundedPolicy {
   static void count_eviction(bool) noexcept {}
   static EvictionCounts eviction_counts() noexcept { return {}; }
   template <typename EvictPath>
-  static void backpressure(Horizon&, EvictPath&&) noexcept {}
+  static void backpressure(Horizon&, std::size_t, EvictPath&&) noexcept {}
 };
 
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
@@ -539,9 +539,10 @@ class CacheTrie {
     testkit::chaos_point("cachetrie.pinned");
     Horizon hz = policy_.make_horizon();
     // Over a ceiling, evicts idle leaves and raises hz.lru_floor.
-    policy_.backpressure(hz, [this](std::uint64_t probe, const Horizon& at) {
-      return evict_path(probe, at);
-    });
+    policy_.backpressure(hz, policy_.resident_bytes(),
+                         [this](std::uint64_t probe, const Horizon& at) {
+                           return evict_path(probe, at);
+                         });
     const std::uint64_t h = hasher_(key);
     const Res r = descend(h, [&](ANode* start, std::uint32_t lev) {
       return insert_rec(key, value, h, lev, start, nullptr, mode, expected,

@@ -194,15 +194,18 @@ class BoundedPolicy {
   }
 
   /// Ceiling enforcement, run by every writer before its own work, so no
-  /// evictor's death can unbound the footprint. Over the ceiling it runs
-  /// the lazy clock hand (after the fwoodruff Lock-Free-Cache design: no
-  /// list, no thread): `evict_path` descends a few pseudo-random hash paths
-  /// from a roving cursor, evicting leaves idle past an adaptive window
-  /// that halves when a scan frees nothing and relaxes once pressure clears.
+  /// evictor's death can unbound the footprint. `resident` is the caller's
+  /// byte count (the trie's ledger, or BoundedChm's derived estimate). Over
+  /// the ceiling it runs the lazy clock hand (after the fwoodruff
+  /// Lock-Free-Cache design: no list, no thread): `evict_path(h, hz)`
+  /// probes a few pseudo-random hashes from a roving cursor, evicting
+  /// entries idle past an adaptive window that halves when a scan frees
+  /// nothing and doubles back once the footprint falls below 3/4 of the
+  /// ceiling.
   template <typename EvictPath>
-  void backpressure(Horizon& hz, EvictPath&& evict_path) {
+  void backpressure(Horizon& hz, std::size_t resident,
+                    EvictPath&& evict_path) {
     if (ceiling_ == 0) return;
-    const std::size_t resident = resident_bytes();
     const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
     if (resident <= ceiling_) {
       if (w < kLruIdleTicks && resident <= ceiling_ - ceiling_ / 4) {
@@ -314,9 +317,10 @@ class BoundedCacheTrie {
 /// Baseline counterpart: the same bounded-mode surface over the
 /// ConcurrentHashMap. Differences (documented in DESIGN.md §3):
 ///   * byte accounting is a derived estimate, not double-entry exact;
-///   * pressure eviction sweeps bins under bin locks (evict_stale), so a
-///     writer parked inside a swept bin's lock blocks that bin's eviction —
-///     the baseline's known weakness under faults.
+///   * the policy's clock hand probes bins, and each probe sweeps its bin
+///     under the bin lock (evict_stale), so a writer parked inside a swept
+///     bin's lock blocks that bin's eviction — the baseline's known
+///     weakness under faults.
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
           typename Reclaimer = mr::EpochReclaimer>
 class BoundedChm {
@@ -361,7 +365,7 @@ class BoundedChm {
   bool empty() const { return map_.empty(); }
 
   /// Derived footprint estimate (DESIGN.md §3): table bytes plus
-  /// size() * node_bytes(), O(1) — maybe_backpressure polls this on every
+  /// size() * node_bytes(), O(1) — backpressure polls this on every
   /// write, so the exact traversal (footprint_bytes) is out of the
   /// question. The striped size counter makes this approximate under
   /// concurrency — the trie's exact double-entry accounting is the
@@ -389,8 +393,16 @@ class BoundedChm {
   /// lazily unlink the operation's own key if it expired. Returns the
   /// horizon and whether that key was an expired corpse.
   std::pair<Horizon, bool> begin_write(const K& key) {
-    const Horizon hz = policy_.make_horizon();
-    maybe_backpressure(hz.now);
+    Horizon hz = policy_.make_horizon();
+    policy_.backpressure(hz, resident_bytes(),
+                         [this](std::uint64_t h, const Horizon& at) {
+                           const std::size_t n =
+                               map_.evict_stale(h, at.lru_floor);
+                           if (n == 0) return false;
+                           policy_.count_eviction(/*expiry=*/false, n);
+                           obs::sites::cachetrie_evict_lru.add(n);
+                           return true;
+                         });
     if (hz.ttl_floor == 0 || !map_.remove_if_stale(key, hz.ttl_floor)) {
       return {hz, false};
     }
@@ -399,29 +411,10 @@ class BoundedChm {
     return {hz, true};
   }
 
-  /// Writer-run ceiling enforcement, mirroring the trie's dead-evictor-
-  /// tolerant design: sweep stale bins while over the ceiling.
-  void maybe_backpressure(std::uint64_t now) {
-    const std::size_t c = ceiling_bytes();
-    if (c == 0 || resident_bytes() <= c) return;
-    policy_.count_backpressure_scan();
-    obs::sites::cachetrie_evict_backpressure.add();
-    const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
-    const std::uint64_t floor = now > w ? now - w : now;
-    const std::size_t evicted = map_.evict_stale(floor, kEvictProbes);
-    if (evicted != 0) {
-      policy_.count_eviction(/*expiry=*/false, evicted);
-      obs::sites::cachetrie_evict_lru.add(evicted);
-    } else if (w > 1) {
-      // Fruitless scan: tighten the idle window so the next scan can bite.
-      lru_window_.store(w / 2, std::memory_order_relaxed);
-    }
-  }
-
-  /// Clock, TTL, ceiling and counters; its byte ledger stays unused here.
+  /// Clock, TTL, ceiling, clock hand, LRU window and counters; its byte
+  /// ledger stays unused here.
   BoundedPolicy policy_;
   Map map_;
-  std::atomic<std::uint64_t> lru_window_{kLruIdleTicks};
 };
 
 }  // namespace cachetrie::evict

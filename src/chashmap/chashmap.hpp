@@ -300,43 +300,39 @@ class ConcurrentHashMap {
     }
   }
 
-  /// Bounded-wrapper pressure scan: sweeps up to `max_bins` bins from a
-  /// roving cursor, unlinking every node whose stamp is older than `floor`.
-  /// Returns the number of nodes removed. Skips forwarded bins (a resize in
-  /// flight; the nodes will be seen again in the next table).
-  std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins) {
+  /// Bounded-wrapper pressure probe (one step of evict::BoundedPolicy's
+  /// clock hand): sweeps the bin hash `h` maps to, unlinking every node
+  /// whose stamp is older than `floor`. Returns the number of nodes removed.
+  /// Skips a forwarded bin (a resize in flight; the nodes will be seen again
+  /// in the next table).
+  std::size_t evict_stale(std::uint64_t h, std::uint64_t floor) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("chm.pinned");
     Table* t = current_table();
+    const std::size_t bi = h & (t->nbins - 1);
+    Node* head = t->bins()[bi].load(std::memory_order_acquire);
+    if (head == nullptr || head->hash == kForwardHash) return 0;
+    BinLock lock{t, bi};
+    head = t->bins()[bi].load(std::memory_order_acquire);
+    if (head != nullptr && head->hash == kForwardHash) return 0;
     std::size_t removed = 0;
-    for (std::size_t probe = 0; probe < max_bins; ++probe) {
-      const std::size_t bi =
-          evict_cursor_.fetch_add(1, std::memory_order_relaxed) &
-          (t->nbins - 1);
-      Node* head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head == nullptr) continue;
-      if (head->hash == kForwardHash) continue;
-      BinLock lock{t, bi};
-      head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head != nullptr && head->hash == kForwardHash) continue;
-      Node* prev = nullptr;
-      Node* n = head;
-      while (n != nullptr) {
-        Node* nx = n->next.load(std::memory_order_relaxed);
-        if (n->stamp.load(std::memory_order_relaxed) < floor) {
-          if (prev == nullptr) {
-            t->bins()[bi].store(nx, std::memory_order_release);
-          } else {
-            prev->next.store(nx, std::memory_order_release);
-          }
-          Reclaimer::template retire<Node>(n);
-          add_count(-1);
-          ++removed;
+    Node* prev = nullptr;
+    Node* n = head;
+    while (n != nullptr) {
+      Node* nx = n->next.load(std::memory_order_relaxed);
+      if (n->stamp.load(std::memory_order_relaxed) < floor) {
+        if (prev == nullptr) {
+          t->bins()[bi].store(nx, std::memory_order_release);
         } else {
-          prev = n;
+          prev->next.store(nx, std::memory_order_release);
         }
-        n = nx;
+        Reclaimer::template retire<Node>(n);
+        add_count(-1);
+        ++removed;
+      } else {
+        prev = n;
       }
+      n = nx;
     }
     return removed;
   }
@@ -730,8 +726,6 @@ class ConcurrentHashMap {
   Hash hasher_{};
   std::atomic<Table*> table_{nullptr};
   util::PaddedCounter counters_[kCounterStripes];
-  /// Roving bin cursor for evict_stale() (bounded wrapper only).
-  std::atomic<std::size_t> evict_cursor_{0};
 };
 
 }  // namespace cachetrie::chm

@@ -13,13 +13,10 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <string>
 
 #include "harness/stats.hpp"
-#include "obs/latency.hpp"
-#include "obs/tsc.hpp"
 
 namespace cachetrie::harness {
 
@@ -43,18 +40,6 @@ inline Scale scale_from_env() {
   if (s == "paper") return Scale::kPaper;
   if (s == "smoke") return Scale::kSmoke;
   return Scale::kDefault;
-}
-
-/// Human/JSON name of the active scale profile.
-inline const char* scale_name() {
-  switch (scale_from_env()) {
-    case Scale::kSmoke:
-      return "smoke";
-    case Scale::kPaper:
-      return "paper";
-    default:
-      return "default";
-  }
 }
 
 /// Picks one of three values by the active scale profile.
@@ -102,70 +87,8 @@ Summary measure(Body&& body, const MeasureOptions& opts = {}) {
   }
   summary.mean_ms = rs.mean();
   summary.stddev_ms = rs.stddev();
-  summary.min_ms = rs.min();
-  summary.max_ms = rs.max();
   summary.reps = rs.count();
   return summary;
-}
-
-/// One latency quantile aggregated across measurement passes. Units are
-/// nanoseconds (not ms): per-op latencies live in the 10ns–10µs range and
-/// the bench schema's *_ms fields are reused verbatim by add_latency().
-struct LatencyQuantile {
-  double mean_ns = 0.0;
-  double stddev_ns = 0.0;
-  double min_ns = 0.0;
-  double max_ns = 0.0;
-};
-
-/// Tail-latency report for one benchmark cell: p50/p90/p99/p999 of the
-/// per-operation latency distribution, each summarized over `passes`
-/// independent passes so a stddev is available for noise gating.
-struct LatencySummary {
-  LatencyQuantile p50;
-  LatencyQuantile p90;
-  LatencyQuantile p99;
-  LatencyQuantile p999;
-  std::uint64_t ops_per_pass = 0;
-  std::size_t passes = 0;
-};
-
-/// Per-operation latency protocol. `per_op(i)` executes the i-th operation;
-/// each of `passes` passes times all `ops` operations individually on the
-/// TSC clock into a log2-sub-bucketed histogram (≤1/16 relative error),
-/// then the per-pass quantiles are combined with Welford so the artifact
-/// cells carry a cross-pass stddev. Runs *after* the throughput reps by
-/// convention — the structure is warm and the timing cells are unaffected.
-template <typename PerOp>
-LatencySummary measure_latency(PerOp&& per_op, std::uint64_t ops,
-                               std::size_t passes = 3) {
-  // Force calibration outside the timed region (first call busy-waits).
-  const double ns_per_tick = obs::tsc::calibration().ns_per_tick;
-  RunningStats q50, q90, q99, q999;
-  for (std::size_t p = 0; p < passes; ++p) {
-    obs::LatencyHistogram h;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      const std::uint64_t t0 = obs::tsc::now();
-      per_op(i);
-      const std::uint64_t t1 = obs::tsc::now();
-      h.record(t1 - t0);
-    }
-    q50.add(static_cast<double>(h.quantile(0.50)) * ns_per_tick);
-    q90.add(static_cast<double>(h.quantile(0.90)) * ns_per_tick);
-    q99.add(static_cast<double>(h.quantile(0.99)) * ns_per_tick);
-    q999.add(static_cast<double>(h.quantile(0.999)) * ns_per_tick);
-  }
-  const auto pack = [](const RunningStats& rs) {
-    return LatencyQuantile{rs.mean(), rs.stddev(), rs.min(), rs.max()};
-  };
-  LatencySummary out;
-  out.p50 = pack(q50);
-  out.p90 = pack(q90);
-  out.p99 = pack(q99);
-  out.p999 = pack(q999);
-  out.ops_per_pass = ops;
-  out.passes = passes;
-  return out;
 }
 
 }  // namespace cachetrie::harness

@@ -85,8 +85,6 @@ class SlidingCov {
 struct Summary {
   double mean_ms = 0.0;
   double stddev_ms = 0.0;
-  double min_ms = 0.0;
-  double max_ms = 0.0;
   std::size_t reps = 0;
   std::size_t warmup_iters = 0;
 };

@@ -464,7 +464,6 @@ class Shard {
   void record_served(const Pending& p, std::uint64_t exec_begin,
                      std::uint64_t exec_end, std::uint16_t base_flags) {
     obs::sites::net_request_served.add();
-    obs::sites::net_queue_delay_us.record(exec_end - p.admit_us);
     obs::sites::net_phase_queue_us.record(exec_begin - p.admit_us);
     obs::sites::net_phase_execute_us.record(exec_end - exec_begin);
     stats_.served.fetch_add(1, std::memory_order_relaxed);

@@ -102,8 +102,6 @@ inline Counter net_proto_error{"net.proto_error"};
 inline Counter net_degraded_replies{"net.degraded_replies"};
 /// Currently open connections across all shards.
 inline Gauge net_conns_open{"net.conns_open"};
-/// Admission-to-execution queueing delay of served requests.
-inline Histogram net_queue_delay_us{"net.queue_delay_us"};
 
 // --- net: request-phase attribution (DESIGN.md §4). The three phases
 // partition a served request's shard-side lifetime exactly: queue

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -110,6 +111,23 @@ class ProgressWatchdog {
   /// stopping); ~0 until the first tick completes.
   std::uint64_t min_delta() const noexcept {
     return min_delta_.load(std::memory_order_relaxed);
+  }
+
+  /// Ends a measured window after `n` full ticks rather than after a fixed
+  /// wall-clock span, so a slowly scheduled monitor cannot make the window
+  /// hold fewer ticks than the caller asserts. Calls `poll` (if any) about
+  /// once a millisecond meanwhile, for callers that sample a level across
+  /// the window. Returns false once `deadline` passes first; the caller
+  /// fails the test on that.
+  [[nodiscard]] bool wait_ticks(
+      std::uint64_t n, std::chrono::steady_clock::time_point deadline,
+      const std::function<void()>& poll = nullptr) const {
+    while (ticks() < n) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      if (poll) poll();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
  private:

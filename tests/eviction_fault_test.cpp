@@ -107,16 +107,16 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   tk::ProgressWatchdog watchdog(survivor_ops, 250ms);
   watchdog.start();
 
+  // At least 1.7 s of churn: 7 ticks of 250 ms.
   std::size_t hwm = 0;
-  const auto end = std::chrono::steady_clock::now() + 1700ms;
-  while (std::chrono::steady_clock::now() < end) {
-    hwm = std::max(hwm, trie.resident_bytes());
-    std::this_thread::sleep_for(1ms);
-  }
+  const bool window_done = watchdog.wait_ticks(
+      7, std::chrono::steady_clock::now() + 60s,
+      [&] { hwm = std::max(hwm, trie.resident_bytes()); });
 
   watchdog.stop();
   stop.store(true, std::memory_order_release);
   for (auto& c : churners) c.join();
+  EXPECT_TRUE(window_done) << "the watchdog did not complete 7 ticks";
 
   const auto counts = trie.eviction_counts();
   const std::uint64_t ops = survivor_ops.load(std::memory_order_relaxed);

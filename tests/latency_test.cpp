@@ -1,20 +1,12 @@
-// latency_test.cpp — unit tests of the HdrHistogram-lite latency histogram
-// (bucket geometry, bounded relative error, interpolated quantiles, merge)
-// and of the harness' per-op latency protocol down to the JSON cells the
-// perf gate consumes.
+// latency_test.cpp — unit tests of the HdrHistogram-lite latency histogram:
+// bucket geometry, bounded relative error, interpolated quantiles, merge.
 #include "obs/latency.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
-#include <string>
-
-#include "harness/report.hpp"
-#include "harness/runner.hpp"
 
 namespace obs = cachetrie::obs;
-namespace harness = cachetrie::harness;
 using obs::LatencyHistogram;
 
 namespace {
@@ -96,64 +88,6 @@ TEST(LatencyHistogramTest, ResetZeroes) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max_value(), 0u);
   EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
-}
-
-// --- harness protocol ------------------------------------------------------
-
-TEST(MeasureLatency, SummarizesPassesWithOrderedQuantiles) {
-  volatile std::uint64_t sink = 0;
-  const auto ls = harness::measure_latency(
-      [&](std::uint64_t i) {
-        // A little per-op work so latencies are nonzero and i-dependent.
-        std::uint64_t acc = i;
-        for (int r = 0; r < 8; ++r) acc = acc * 6364136223846793005ull + r;
-        sink = acc;
-      },
-      /*ops=*/5000, /*passes=*/3);
-  EXPECT_EQ(ls.ops_per_pass, 5000u);
-  EXPECT_EQ(ls.passes, 3u);
-  EXPECT_GT(ls.p50.mean_ns, 0.0);
-  EXPECT_LE(ls.p50.mean_ns, ls.p90.mean_ns);
-  EXPECT_LE(ls.p90.mean_ns, ls.p99.mean_ns);
-  EXPECT_LE(ls.p99.mean_ns, ls.p999.mean_ns);
-  for (const auto* q : {&ls.p50, &ls.p90, &ls.p99, &ls.p999}) {
-    EXPECT_GE(q->stddev_ns, 0.0);
-    EXPECT_LE(q->min_ns, q->mean_ns);
-    EXPECT_GE(q->max_ns, q->mean_ns);
-  }
-}
-
-TEST(MeasureLatency, ReportCellsCarryStatAndUnitParams) {
-  harness::LatencySummary ls;
-  ls.p50 = {100.0, 1.0, 99.0, 101.0};
-  ls.p90 = {200.0, 2.0, 198.0, 202.0};
-  ls.p99 = {300.0, 3.0, 297.0, 303.0};
-  ls.p999 = {400.0, 4.0, 396.0, 404.0};
-  ls.ops_per_pass = 1234;
-  ls.passes = 3;
-
-  harness::BenchReport report{"latency_unit"};
-  report.add_latency("cachetrie", {{"op", "lookup_latency"}, {"n", "1234"}},
-                     ls);
-  std::ostringstream os;
-  report.write_json(os);
-  const std::string out = os.str();
-
-  for (const char* stat : {"p50", "p90", "p99", "p999"}) {
-    EXPECT_NE(out.find("\"stat\":\"" + std::string(stat) + "\""),
-              std::string::npos)
-        << stat;
-  }
-  EXPECT_NE(out.find("\"unit\":\"ns\""), std::string::npos);
-  EXPECT_NE(out.find("\"mean_ms\":300"), std::string::npos);  // p99 in ns
-  EXPECT_NE(out.find("\"ops_per_rep\":1234"), std::string::npos);
-  std::int64_t braces = 0, brackets = 0;
-  for (char ch : out) {
-    braces += (ch == '{') - (ch == '}');
-    brackets += (ch == '[') - (ch == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
 }
 
 }  // namespace

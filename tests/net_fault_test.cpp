@@ -242,10 +242,13 @@ TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
     }
   });
   watchdog.start();
-  std::this_thread::sleep_for(1200ms);
+  // At least 1.2 s of serving: 5 ticks of 250 ms.
+  const bool window_done =
+      watchdog.wait_ticks(5, std::chrono::steady_clock::now() + 60s);
   watchdog.stop();
   stop_churn.store(true, std::memory_order_release);
   churn.join();
+  EXPECT_TRUE(window_done) << "the watchdog did not complete 5 ticks";
 
   EXPECT_GE(watchdog.ticks(), 3u);
   EXPECT_EQ(watchdog.violations(), 0u)

@@ -98,17 +98,17 @@ TEST(StalledReclaimer, DeadGuardHolderCannotUnboundLimbo) {
   watchdog.start();
 
   // The measurement window the acceptance criterion names: >= 2 s of churn
-  // against a dead guard holder, sampling limbo bytes throughout.
+  // (9 ticks of 250 ms) against a dead guard holder, sampling limbo bytes
+  // throughout.
   std::size_t max_bytes = 0;
-  const auto end = std::chrono::steady_clock::now() + 2100ms;
-  while (std::chrono::steady_clock::now() < end) {
-    max_bytes = std::max(max_bytes, dom.retired_bytes());
-    std::this_thread::sleep_for(2ms);
-  }
+  const bool window_done = watchdog.wait_ticks(
+      9, std::chrono::steady_clock::now() + 60s,
+      [&] { max_bytes = std::max(max_bytes, dom.retired_bytes()); });
 
   watchdog.stop();
   stop.store(true, std::memory_order_release);
   for (auto& c : churners) c.join();
+  EXPECT_TRUE(window_done) << "the watchdog did not complete 9 ticks";
 
   // (a) Bounded garbage: the fallback declared the dead reader and kept
   // limbo near the cap. The slack is the declaration window — the handful

@@ -133,12 +133,15 @@ void run_stall_storm(const char* const* sites, std::size_t n_sites) {
     });
   }
 
-  std::this_thread::sleep_for(1200ms);
+  // At least 1.2 s of storm: 5 ticks of 250 ms.
+  const bool window_done =
+      watchdog.wait_ticks(5, std::chrono::steady_clock::now() + 60s);
   watchdog.stop();
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
   fault::clear();
   tk::chaos::enable(false);
+  EXPECT_TRUE(window_done) << "the watchdog did not complete 5 ticks";
 
   EXPECT_GE(watchdog.ticks(), 3u);
   EXPECT_EQ(watchdog.violations(), 0u)
@@ -213,8 +216,11 @@ void run_forever_stall(const char* pinned_site, const char* deep_site) {
 
   tk::ProgressWatchdog watchdog(survivor_ops, 250ms);
   watchdog.start();
-  std::this_thread::sleep_for(1500ms);
+  // At least 1.5 s with the victims parked: 6 ticks of 250 ms.
+  const bool window_done =
+      watchdog.wait_ticks(6, std::chrono::steady_clock::now() + 60s);
   watchdog.stop();
+  EXPECT_TRUE(window_done) << "the watchdog did not complete 6 ticks";
 
   EXPECT_GE(watchdog.ticks(), 5u);
   EXPECT_EQ(watchdog.violations(), 0u)
